@@ -38,13 +38,24 @@ GOLDEN_PARAMS = ScenarioParams(
 )
 
 #: Experiment -> option overrides for the frozen runs.  fig1 exercises
-#: the generator path, table1 the reshaping engine, stream_replay the
+#: the generator path, table1 the reshaping schedulers, stream_replay the
 #: whole train -> reshape -> featurize -> classify pipeline in both its
 #: batch and streaming incarnations (plus their parity audit).
+#: combined_grid, table6, combined and population_scale pin the scored
+#: evaluation of stacked, byte-level, morphing and per-station defenses
+#: (fused and materializing alike).
 GOLDEN_RUNS: dict[str, dict[str, object]] = {
     "table1": {},
     "fig1": {"duration": 20.0, "grid_step": 64},
     "stream_replay": {},
+    "combined_grid": {},
+    "table6": {},
+    "combined": {},
+    "population_scale": {
+        "populations": "8,16",
+        "shards": 2,
+        "station_duration": 5.0,
+    },
 }
 
 
