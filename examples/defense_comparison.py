@@ -13,12 +13,12 @@ from repro import (
     OrthogonalReshaper,
     PacketPadding,
     RandomReshaper,
-    ReshapingEngine,
     RoundRobinReshaper,
     TrafficGenerator,
     TrafficMorphing,
 )
 from repro.defenses.overhead import overhead_percent
+from repro.schemes import as_scheme
 from repro.util.tables import format_table
 
 
@@ -81,7 +81,7 @@ def _morph(trace, evaluation, morph_pairs):
 
 
 def _reshape(trace, reshaper):
-    result = ReshapingEngine(reshaper).apply(trace)
+    result = as_scheme(reshaper).apply(trace)
     return result.observable_flows, 0.0
 
 

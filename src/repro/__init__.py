@@ -11,7 +11,7 @@ Traffic Analysis in Wireless Networks Through Traffic Reshaping"
 * :mod:`repro.net` — a discrete-event WLAN with RSSI modeling and a
   passive sniffer;
 * :mod:`repro.core` — the reshaping algorithms (RA, RR, OR, FH, and the
-  Eq. 1 target-driven scheduler) and the reshaping engine;
+  Eq. 1 target-driven scheduler) and the combined defense;
 * :mod:`repro.defenses` — the baselines (packet padding, traffic
   morphing, pseudonyms) and overhead accounting;
 * :mod:`repro.analysis` — the traffic-classification attack (SVM / NN
@@ -21,16 +21,16 @@ Traffic Analysis in Wireless Networks Through Traffic Reshaping"
 Quickstart::
 
     from repro import (
-        AppType, AttackPipeline, OrthogonalReshaper, ReshapingEngine,
-        TrafficGenerator,
+        AppType, AttackPipeline, OrthogonalReshaper, TrafficGenerator,
     )
+    from repro.schemes import as_scheme
 
     gen = TrafficGenerator(seed=7)
     train = {app.value: [gen.generate(app, 300.0)] for app in AppType}
     attack = AttackPipeline(window=5.0).train(train)
 
     bt = gen.generate("bittorrent", 300.0, session=9)
-    flows = ReshapingEngine(OrthogonalReshaper.paper_default()).apply(bt)
+    flows = as_scheme(OrthogonalReshaper.paper_default()).apply(bt)
     report = attack.evaluate_flows({"bittorrent": flows.observable_flows})
     print(report.accuracy_by_class["bittorrent"])  # collapses vs undefended
 """
@@ -51,7 +51,6 @@ from repro.core import (
     OrthogonalReshaper,
     RandomReshaper,
     Reshaper,
-    ReshapingEngine,
     RoundRobinReshaper,
     TargetDrivenReshaper,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "PseudonymDefense",
     "RandomReshaper",
     "Reshaper",
-    "ReshapingEngine",
     "RoundRobinReshaper",
     "RssiLinker",
     "TargetDrivenReshaper",

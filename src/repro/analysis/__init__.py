@@ -10,7 +10,7 @@ observable flows a defense produces.
 """
 
 from repro.analysis.aggregation import AggregationAttack, AggregationOutcome
-from repro.analysis.attack import AttackPipeline, AttackReport, DefenseEvaluation
+from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.analysis.batch import (
     WindowCache,
     augment_direction_dropout,
@@ -55,7 +55,6 @@ __all__ = [
     "Classifier",
     "ConfusionMatrix",
     "Dataset",
-    "DefenseEvaluation",
     "FEATURE_NAMES",
     "GaussianNaiveBayes",
     "KNearestNeighbors",

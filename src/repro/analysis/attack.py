@@ -9,7 +9,7 @@ attacker recovers the true activity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +28,11 @@ from repro.analysis.metrics import (
     mean_accuracy,
 )
 from repro.analysis.scaler import StandardScaler
-from repro.defenses.base import DefendedTraffic
 from repro.obs import add as obs_add
 from repro.obs import span as obs_span
 from repro.traffic.trace import Trace
 
-__all__ = ["AttackPipeline", "AttackReport", "DefenseEvaluation"]
+__all__ = ["AttackPipeline", "AttackReport"]
 
 
 @dataclass(frozen=True)
@@ -64,17 +63,6 @@ class AttackReport:
         if not values:
             return float("nan")
         return float(sum(values) / len(values))
-
-
-@dataclass
-class DefenseEvaluation:
-    """Per-application defended traffic, keyed by true label."""
-
-    defended: dict[str, DefendedTraffic] = field(default_factory=dict)
-
-    def add(self, label: str, defended: DefendedTraffic) -> None:
-        """Record the defended traffic of application ``label``."""
-        self.defended[label] = defended
 
 
 class AttackPipeline:
@@ -249,43 +237,28 @@ class AttackPipeline:
         ``flows_by_label`` maps the *true* application to the observable
         flows its defended traffic produced (one flow per virtual
         interface / pseudonym / channel slice).  When ``cache`` is given,
-        per-flow feature matrices are reused across calls (e.g. across
-        the schemes of one table).  All windows of all flows are
-        classified in one batched prediction.
+        per-flow feature matrices are reused across calls.  Scoring is
+        :meth:`evaluate_matrices` over the flows' feature matrices.
         """
-        matrices: list[np.ndarray] = []
-        true_labels: list[str] = []
-        with obs_span("featurize"):
-            for label, flows in flows_by_label.items():
-                for flow in flows:
-                    if cache is not None:
-                        matrix = cache.feature_matrix(
-                            flow, self.window, self.min_packets
-                        )
-                    else:
-                        matrix = flow_feature_matrix(
-                            flow, self.window, self.min_packets
-                        )
-                    obs_add("featurize.flows")
-                    obs_add("featurize.windows", len(matrix))
-                    if len(matrix):
-                        matrices.append(matrix)
-                        true_labels.extend([label] * len(matrix))
-        return self._score(matrices, true_labels)
+        featurize = flow_feature_matrix if cache is None else cache.feature_matrix
+        return self.evaluate_matrices(
+            {
+                label: [featurize(flow, self.window, self.min_packets) for flow in flows]
+                for label, flows in flows_by_label.items()
+            }
+        )
 
     def evaluate_matrices(
         self,
         matrices_by_label: dict[str, list[np.ndarray]],
     ) -> AttackReport:
-        """Score already-featurized flows (the fused path's entry point).
+        """Score featurized flows: every window of every flow, in one batch.
 
         ``matrices_by_label`` maps each true application to its flows'
         feature matrices (one ``(n_windows, 12)`` array per observable
-        flow, e.g. from :func:`repro.analysis.batch.fused_feature_matrices`).
-        Scoring — batched classification, confusion accounting — and the
-        ``featurize.*`` telemetry are shared with :meth:`evaluate_flows`,
-        so a fused evaluation reports bit-identically to the
-        materializing one when the matrices match.
+        flow, e.g. from :func:`repro.experiments.runner.defended_matrices`).
+        All rows are classified in one batched prediction and tallied
+        against the true labels.
         """
         matrices: list[np.ndarray] = []
         true_labels: list[str] = []
@@ -297,12 +270,6 @@ class AttackPipeline:
                     if len(matrix):
                         matrices.append(matrix)
                         true_labels.extend([label] * len(matrix))
-        return self._score(matrices, true_labels)
-
-    def _score(
-        self, matrices: list[np.ndarray], true_labels: list[str]
-    ) -> AttackReport:
-        """Classify the collected windows and score against truth."""
         if matrices:
             predicted = self.classify_matrix(np.concatenate(matrices, axis=0))
         else:
@@ -317,11 +284,3 @@ class AttackPipeline:
         return self.evaluate_flows(
             {label: list(traces) for label, traces in traces_by_label.items()}
         )
-
-    def evaluate_defense(self, evaluation: DefenseEvaluation) -> AttackReport:
-        """Evaluate a :class:`DefenseEvaluation` built from defended traffic."""
-        flows = {
-            label: defended.observable_flows
-            for label, defended in evaluation.defended.items()
-        }
-        return self.evaluate_flows(flows)

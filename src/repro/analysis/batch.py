@@ -30,11 +30,11 @@ module's matrices (a ufunc reduction sees the same contiguous float64
 values either way).  Changes to its arithmetic are parity-tested from
 both sides.
 
-:class:`WindowCache` memoizes the two artifacts the experiment drivers
-recompute most — per-flow feature matrices (keyed by flow identity and
-normalized window) and reshaped observable flows (keyed by scheme and
-trace identity) — so the five schemes (Original/FH/RA/RR/OR) and
-multi-window sweeps share windowing work.
+:class:`WindowCache` memoizes what the evaluation dispatch
+(:func:`repro.experiments.runner.defended_matrices`) computes per
+(scheme, trace): fused plans and their per-flow matrices, or the
+materialized defended traffic and its per-flow matrices — so the scheme
+grid and multi-window sweeps share windowing work.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from repro import obs
 from repro.analysis.features import _IAT_EPSILON, FEATURE_NAMES
 from repro.analysis.windows import window_edges, window_key
-from repro.defenses.base import FusedPlan
+from repro.defenses.base import DefendedTraffic, FusedPlan
 from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.stats import DEFAULT_IDLE_CUTOFF
 from repro.traffic.trace import Trace
@@ -382,21 +382,25 @@ def augment_direction_dropout(matrix: np.ndarray, window: float) -> np.ndarray:
 class WindowCache:
     """Memoizes windowing work shared across schemes and window sweeps.
 
-    Two layers:
+    Four layers, two per evaluation path:
 
-    * ``feature_matrix`` — per-flow feature matrices keyed by flow
-      identity, the normalized window (:func:`window_key`) and the
-      ``min_packets`` threshold.  Evaluating several schemes or re-using
-      a runner across experiments re-featurizes nothing.
-    * ``observable_flows`` — reshaped per-interface flows keyed by
-      (reshaper identity, trace identity).  A window sweep reshapes each
-      evaluation trace once per scheme instead of once per (scheme,
-      window).  Safe because ``ReshapingEngine.apply`` resets scheduler
-      state, making reshaping deterministic in (reshaper, trace).
-    * ``fused_plan`` / ``fused_matrices`` — the fused path's
-      counterparts: plans keyed like flows, per-flow matrix lists keyed
-      like feature matrices, both carrying captured telemetry for
-      replay (see :meth:`defended_flows`) so counters stay logical.
+    * ``fused_plan`` — a scheme's fused plan of a trace (or ``None``
+      for a scheme that cannot fuse), keyed by (scheme identity, trace
+      identity).
+    * ``fused_matrices`` — the fused kernel's per-flow matrices, keyed
+      by scheme and trace identity plus the normalized window
+      (:func:`window_key`) and the ``min_packets`` threshold.
+    * ``defended_flows`` — the materialized :class:`DefendedTraffic` of
+      a non-fusable scheme, keyed like plans.  A window sweep applies
+      each scheme to each trace once instead of once per window.  Safe
+      because ``Scheme.apply`` resets scheme state, making it
+      deterministic in (scheme, trace).
+    * ``feature_matrix`` — per-flow feature matrices of materialized
+      flows, keyed by flow identity, window and ``min_packets``.
+
+    Every layer but ``feature_matrix`` carries the telemetry captured
+    while it was built, handed back on every request for replay, so
+    counters stay logical (see :meth:`defended_flows`).
 
     Cached keys pin their source objects so ``id()`` reuse after garbage
     collection cannot alias entries.
@@ -404,8 +408,9 @@ class WindowCache:
 
     def __init__(self) -> None:
         self._features: dict[tuple[int, float, int], np.ndarray] = {}
-        self._flows: dict[tuple[int, int], list[Trace]] = {}
-        self._subprofiles: dict[tuple[int, int], "obs.Subprofile | None"] = {}
+        self._defended: dict[
+            tuple[int, int], tuple[DefendedTraffic, "obs.Subprofile | None"]
+        ] = {}
         self._plans: dict[
             tuple[int, int], tuple[FusedPlan | None, "obs.Subprofile | None"]
         ] = {}
@@ -439,58 +444,38 @@ class WindowCache:
             obs.add("proc.window_cache.feature_hits")
         return cached
 
-    def observable_flows(
-        self,
-        scheme: object,
-        trace: Trace,
-        build: Callable[[], list[Trace]],
-    ) -> list[Trace]:
-        """The (cached) observable flows of ``trace`` under ``scheme``.
-
-        ``build`` runs on a cache miss and must be deterministic in
-        (scheme, trace); ``scheme`` may be ``None`` for the undefended
-        original.
-        """
-        flows, _ = self.defended_flows(
-            scheme, trace, lambda: (list(build()), None)
-        )
-        return flows
-
     def defended_flows(
         self,
         scheme: object,
         trace: Trace,
-        build: Callable[[], tuple[list[Trace], "obs.Subprofile | None"]],
-    ) -> tuple[list[Trace], "obs.Subprofile | None"]:
-        """Like :meth:`observable_flows`, carrying captured telemetry.
+        build: Callable[[], tuple[DefendedTraffic, "obs.Subprofile | None"]],
+    ) -> tuple[DefendedTraffic, "obs.Subprofile | None"]:
+        """The (cached) defended traffic of ``trace`` under ``scheme``.
 
-        ``build`` returns ``(flows, subprofile)`` where the subprofile
-        is the telemetry the scheme application recorded while it
-        physically ran (see :func:`repro.obs.captured`).  The cache
-        stores both and hands the subprofile back on *every* request —
-        hit or miss — so callers can :func:`repro.obs.replay` it and
-        keep counters logical: a cell sees the same counts whether its
-        flows were computed here or reused from a warmer cache.
+        ``build`` runs on a miss, must be deterministic in (scheme,
+        trace), and returns ``(defended, subprofile)`` where the
+        subprofile is the telemetry the scheme application recorded
+        while it physically ran (see :func:`repro.obs.captured`).  The
+        cache stores both and hands the subprofile back on *every*
+        request — hit or miss — so callers can :func:`repro.obs.replay`
+        it and keep counters logical: a cell sees the same counts
+        whether its flows were computed here or reused from a warmer
+        cache.
         """
         # repro-lint: allow[nondeterminism]: cache is strictly process-local (never pickled) and pins sources against id() reuse
         key = (id(scheme), id(trace))
-        flows = self._flows.get(key)
-        if flows is None:
+        if key not in self._defended:
             self.misses += 1
             obs.add("proc.window_cache.flow_misses")
             # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
             self._pinned[id(trace)] = trace
-            if scheme is not None:
-                # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-                self._pinned[id(scheme)] = scheme
-            flows, subprofile = build()
-            flows = list(flows)
-            self._flows[key] = flows
-            self._subprofiles[key] = subprofile
+            # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
+            self._pinned[id(scheme)] = scheme
+            self._defended[key] = build()
         else:
             self.hits += 1
             obs.add("proc.window_cache.flow_hits")
-        return flows, self._subprofiles.get(key)
+        return self._defended[key]
 
     def fused_plan(
         self,
@@ -513,9 +498,8 @@ class WindowCache:
             obs.add("proc.window_cache.plan_misses")
             # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
             self._pinned[id(trace)] = trace
-            if scheme is not None:
-                # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-                self._pinned[id(scheme)] = scheme
+            # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
+            self._pinned[id(scheme)] = scheme
             self._plans[key] = build()
         else:
             self.hits += 1
@@ -544,9 +528,8 @@ class WindowCache:
             obs.add("proc.window_cache.fused_misses")
             # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
             self._pinned[id(trace)] = trace
-            if scheme is not None:
-                # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
-                self._pinned[id(scheme)] = scheme
+            # repro-lint: allow[nondeterminism]: pin keeps the id() key alive; cache never crosses a process boundary
+            self._pinned[id(scheme)] = scheme
             self._fused[key] = build()
         else:
             self.hits += 1
@@ -556,8 +539,7 @@ class WindowCache:
     def clear(self) -> None:
         """Drop every cached artifact (and the object pins)."""
         self._features.clear()
-        self._flows.clear()
-        self._subprofiles.clear()
+        self._defended.clear()
         self._plans.clear()
         self._fused.clear()
         self._pinned.clear()

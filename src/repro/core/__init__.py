@@ -13,14 +13,13 @@ distribution approaches a per-interface target distribution φⁱ
 * the Eq. 1 machinery (:mod:`repro.core.optimization`,
   :mod:`repro.core.targets`) and a greedy online
   :class:`TargetDrivenReshaper` for arbitrary (non-orthogonal) targets;
-* :class:`ReshapingEngine` — applies a reshaper to a whole trace; and
+  and
 * :class:`CombinedDefense` — reshaping + per-interface morphing
   (Sec. V-C).
 """
 
 from repro.core.adaptive import QuantileBoundaryReshaper, quantile_boundaries
 from repro.core.base import Reshaper, StatelessReshaper
-from repro.core.engine import ReshapingEngine
 from repro.core.schedulers import (
     FrequencyHoppingScheduler,
     ModuloReshaper,
@@ -58,7 +57,6 @@ __all__ = [
     "QuantileBoundaryReshaper",
     "RandomReshaper",
     "Reshaper",
-    "ReshapingEngine",
     "ReshapingObjective",
     "RoundRobinReshaper",
     "StatelessReshaper",

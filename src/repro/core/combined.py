@@ -7,7 +7,8 @@ chat-like interface to look like gaming and the mid-size interface to
 pretend browsing drives the mean accuracy under 28 %.
 
 The combined defense first reshapes a trace with any
-:class:`~repro.core.base.Reshaper`, then applies a per-interface
+:class:`~repro.core.base.Reshaper` (through its
+:class:`~repro.schemes.base.ReshaperScheme` adapter), then applies a per-interface
 morphing map to selected observable flows.  Overhead comes only from
 the morphed interfaces, which carry a fraction of the traffic — hence
 "much less overhead than [full] traffic morphing".
@@ -16,7 +17,6 @@ the morphed interfaces, which carry a fraction of the traffic — hence
 from __future__ import annotations
 
 from repro.core.base import Reshaper
-from repro.core.engine import ReshapingEngine
 from repro.defenses.base import DefendedTraffic, Defense
 from repro.defenses.morphing import TrafficMorphing
 from repro.traffic.trace import Trace
@@ -49,14 +49,17 @@ class CombinedDefense(Defense):
         morph_all_packets: bool = False,
         seed: int = 0,
     ):
-        self._engine = ReshapingEngine(reshaper)
+        # Deferred: repro.schemes imports repro.core.
+        from repro.schemes.base import ReshaperScheme
+
+        self._reshaping = ReshaperScheme("reshaping", reshaper)
         self._interface_targets = dict(interface_targets)
         self._morph_all = bool(morph_all_packets)
         self._seed = int(seed)
 
     def apply(self, trace: Trace) -> DefendedTraffic:
         """Reshape ``trace`` then morph the configured interfaces."""
-        result = self._engine.apply(trace)
+        result = self._reshaping.apply(trace)
         flows: dict[int, Trace] = {}
         extra = 0
         for iface, flow in result.flows.items():

@@ -288,10 +288,6 @@ class Defense(abc.ABC):
     def apply(self, trace: Trace) -> DefendedTraffic:
         """Defend ``trace`` and return the observable flows."""
 
-    def apply_many(self, traces: list[Trace]) -> list[DefendedTraffic]:
-        """Apply the defense to several traces independently."""
-        return [self.apply(trace) for trace in traces]
-
     def fused_plan_columns(
         self,
         times: np.ndarray,

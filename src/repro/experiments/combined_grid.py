@@ -32,7 +32,6 @@ from repro.analysis.classifiers import (
     LinearSvm,
     MlpClassifier,
 )
-from repro.analysis.batch import WindowCache
 from repro.analysis.windows import window_key
 from repro.experiments import parallel, registry
 from repro.experiments.registry import (
@@ -41,7 +40,7 @@ from repro.experiments.registry import (
     ScenarioParams,
     make_cell,
 )
-from repro.schemes import SchemeSpec, canonical_stack, stack_label
+from repro.schemes import Scheme, SchemeSpec, canonical_stack, stack_label
 from repro.schemes.registry import build_stack, get_scheme
 from repro.util.results import ExperimentResult
 from repro.util.rng import derive_seed
@@ -231,79 +230,59 @@ def _grid_pipeline(
     )
 
 
-def _defended_corpus(
+def _grid_stack(
     params: ScenarioParams,
     composition: str,
     specs: tuple[SchemeSpec, ...],
-) -> dict[str, object]:
-    """Defended evaluation flows + accounting, cached per composition.
+) -> Scheme:
+    """The composition's stack, built once per process.
 
     The stack seed is derived from the composition alone — NOT the
     cell name, which also carries the classifier — so every classifier
     column attacks the *same* defended traffic and the accuracy
     comparison is not confounded by a different stochastic defense
     realization per column.  Still a pure function of
-    (root seed, composition): identical in any process.  The
-    process-local memo means each composition is transformed once per
-    worker, not once per classifier; flow identity stays stable, so
-    the shared window cache below also featurizes each flow once.
+    (root seed, composition): identical in any process.  The memo keeps
+    the stack's identity stable, so the shared runner's window cache
+    plans, applies and featurizes each trace once per worker, not once
+    per classifier.
     """
-
-    def build() -> dict[str, object]:
-        scenario = parallel.shared_scenario(params)
-        stack = build_stack(
+    return parallel.worker_cached(
+        ("combined_grid-stack", params, specs),
+        lambda: build_stack(
             specs, seed=derive_seed(params.seed, "combined-grid-stack", composition)
-        )
-        flows_by_label: dict[str, list] = {}
-        original_bytes = 0
-        extra_bytes = 0
-        handshake_bytes = 0
-        flow_count = 0
-        per_stage: dict[str, int] = {}
-        for label, traces in scenario.evaluation_by_label().items():
-            flows_by_label[label] = []
-            for trace in traces:
-                defended = stack.apply(trace)
-                flows_by_label[label].extend(defended.observable_flows)
-                original_bytes += trace.total_bytes
-                extra_bytes += defended.extra_bytes
-                handshake_bytes += defended.handshake_bytes
-                flow_count += len(defended.flows)
-                for stage in defended.stages:
-                    per_stage[stage.scheme] = (
-                        per_stage.get(stage.scheme, 0) + stage.extra_bytes
-                    )
-        return {
-            "flows_by_label": flows_by_label,
-            "overhead_percent": 100.0 * extra_bytes / max(original_bytes, 1),
-            "handshake_bytes": handshake_bytes,
-            "flows": flow_count,
-            "stage_overhead": tuple(per_stage.items()),
-        }
-
-    return parallel.worker_cached(("combined_grid-defended", params, specs), build)
+        ),
+    )
 
 
 def _run_cell(cell: ExperimentCell) -> GridCell:
     params = cell.params["scenario"]
     composition = str(cell.params["composition"])
-    defended = _defended_corpus(params, composition, cell.params["specs"])
-    pipeline = _grid_pipeline(
-        params, str(cell.params["classifier"]), float(cell.params["window"])
+    runner = parallel.shared_runner(params)
+    traces_by_label = runner.scenario.evaluation_by_label()
+    report, costs = runner.evaluate(
+        _grid_stack(params, composition, cell.params["specs"]),
+        _grid_pipeline(
+            params, str(cell.params["classifier"]), float(cell.params["window"])
+        ),
+        traces_by_label,
     )
-    # One shared per-process window cache: defended flows have stable
-    # identity (memoized above), so featurization happens once per
-    # (flow, window) no matter how many classifiers attack it.
-    cache = parallel.worker_cached(("combined_grid-wcache", params), WindowCache)
-    report = pipeline.evaluate_flows(defended["flows_by_label"], cache=cache)
+    original_bytes = sum(
+        trace.total_bytes for traces in traces_by_label.values() for trace in traces
+    )
+    stages = [stage for trace_stages in costs for stage in trace_stages]
+    per_stage: dict[str, int] = {}
+    for stage in stages:
+        per_stage[stage.scheme] = per_stage.get(stage.scheme, 0) + stage.extra_bytes
+    extra_bytes = sum(stage.extra_bytes for stage in stages)
     return GridCell(
         composition=composition,
         classifier=str(cell.params["classifier"]),
         mean_accuracy=report.mean_accuracy,
-        overhead_percent=defended["overhead_percent"],
-        handshake_bytes=defended["handshake_bytes"],
-        flows=defended["flows"],
-        stage_overhead=defended["stage_overhead"],
+        overhead_percent=100.0 * extra_bytes / max(original_bytes, 1),
+        handshake_bytes=sum(stage.handshake_bytes for stage in stages),
+        flows=sum(trace_stages[-1].flows for trace_stages in costs),
+        stage_overhead=tuple(per_stage.items()),
     )
 
 

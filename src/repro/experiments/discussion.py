@@ -13,7 +13,6 @@ import math
 import time
 from dataclasses import dataclass
 
-from repro.analysis.attack import AttackPipeline
 from repro.analysis.linking import RssiLinker, linking_accuracy
 from repro.core.combined import CombinedDefense
 from repro.experiments import parallel, registry
@@ -25,6 +24,7 @@ from repro.experiments.registry import (
     single_cell,
     take_only,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
 from repro.net.channel import Position
 from repro.net.wlan import WlanSimulation
@@ -73,36 +73,27 @@ def combined_defense_accuracy(
     models the morph reduces chatting's residual accuracy partially
     rather than to zero — deviation documented in EXPERIMENTS.md.
     """
-    scenario = scenario or EvaluationScenario()
-    pipeline = AttackPipeline(window=window, seed=scenario.seed)
-    pipeline.train(scenario.training_traces())
+    return _combined_defense(ExperimentRunner(scenario or EvaluationScenario()), window)
 
-    orthogonal = build_scheme(legacy_scheme_spec("or"), scenario.seed)
-    interface_targets = {
-        0: scenario.evaluation_trace(AppType.GAMING),
-        1: scenario.evaluation_trace(AppType.BROWSING),
-    }
 
-    or_flows: dict[str, list] = {}
-    combined_flows: dict[str, list] = {}
-    extra_bytes = 0
-    original_bytes = 0
-    for app in AppType:
-        or_flows[app.value] = []
-        combined_flows[app.value] = []
-        for trace in scenario.evaluation_traces()[app]:
-            original_bytes += trace.total_bytes
-            or_flows[app.value].extend(orthogonal.apply(trace).observable_flows)
-            combined = CombinedDefense(
-                build_raw(legacy_scheme_spec("or"), scenario.seed),
-                interface_targets,
-                seed=scenario.seed,
-            ).apply(trace)
-            combined_flows[app.value].extend(combined.observable_flows)
-            extra_bytes += combined.extra_bytes
-
-    or_report = pipeline.evaluate_flows(or_flows)
-    combined_report = pipeline.evaluate_flows(combined_flows)
+def _combined_defense(runner: ExperimentRunner, window: float) -> CombinedDefenseResult:
+    scenario = runner.scenario
+    pipeline = runner.pipeline(window)
+    traces_by_label = scenario.evaluation_by_label()
+    or_report, _ = runner.evaluate(legacy_scheme_spec("or"), pipeline, traces_by_label)
+    combined = CombinedDefense(
+        build_raw(legacy_scheme_spec("or"), scenario.seed),
+        {
+            0: scenario.evaluation_trace(AppType.GAMING),
+            1: scenario.evaluation_trace(AppType.BROWSING),
+        },
+        seed=scenario.seed,
+    )
+    combined_report, costs = runner.evaluate(combined, pipeline, traces_by_label)
+    extra_bytes = sum(stage.extra_bytes for stages in costs for stage in stages)
+    original_bytes = sum(
+        trace.total_bytes for traces in traces_by_label.values() for trace in traces
+    )
     return CombinedDefenseResult(
         or_accuracy=or_report.accuracy_by_class,
         combined_accuracy=combined_report.accuracy_by_class,
@@ -246,8 +237,10 @@ def _combined_cells(
 
 
 def _run_combined_cell(cell: ExperimentCell) -> CombinedDefenseResult:
-    scenario = parallel.shared_scenario(cell.params["scenario"])
-    return combined_defense_accuracy(scenario, window=float(cell.params["window"]))
+    return _combined_defense(
+        parallel.shared_runner(cell.params["scenario"]),
+        float(cell.params["window"]),
+    )
 
 
 def _combined_to_result(

@@ -29,10 +29,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections.abc import Callable, Mapping
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from dataclasses import replace
 
 from repro import obs
+from repro.analysis.attack import AttackReport
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentCell, ScenarioParams
 from repro.experiments.runner import ExperimentRunner
@@ -40,10 +43,12 @@ from repro.experiments.scenarios import EvaluationScenario
 from repro.util.results import ExperimentResult
 
 __all__ = [
+    "WorkerDiedError",
     "clear_worker_state",
     "default_jobs",
     "run_experiment",
     "run_experiment_result",
+    "scheme_cell_report",
     "shard_grid_cells",
     "shared_runner",
     "shared_scenario",
@@ -93,6 +98,22 @@ def shared_runner(params: ScenarioParams) -> ExperimentRunner:
     return worker_cached(
         ("runner", params), lambda: ExperimentRunner(shared_scenario(params))
     )
+
+
+def scheme_cell_report(cell: ExperimentCell) -> AttackReport:
+    """The report of one ``(spec, window)`` cell on the shared runner.
+
+    The ``run_cell`` of every experiment whose cells each attack the
+    scenario's evaluation split under one registry scheme at one
+    window (Tables II–V and the window sweep).
+    """
+    runner = shared_runner(cell.params["scenario"])
+    report, _ = runner.evaluate(
+        runner.scheme(cell.params["spec"]),
+        runner.pipeline(float(cell.params["window"])),
+        runner.scenario.evaluation_by_label(),
+    )
+    return report
 
 
 def shared_shard(corpus: str, shard: int):
@@ -175,6 +196,10 @@ def shard_grid_cells(
 # ----------------------------------------------------------------------
 
 
+class WorkerDiedError(RuntimeError):
+    """A worker process died (killed, crashed) while running a cell."""
+
+
 def default_jobs() -> int:
     """A sensible worker count for this host (affinity-aware)."""
     try:
@@ -229,16 +254,29 @@ def _run_resolved(
         outcomes = [_execute_cell(payload) for payload in payloads]
     else:
         context = multiprocessing.get_context(start_method)
-        with context.Pool(processes=jobs, initializer=_init_worker) as pool:
-            # chunksize=1: cells are few and coarse (a full train +
-            # evaluate each); fine-grained dispatch balances the load.
-            outcomes = pool.map(_execute_cell, payloads, chunksize=1)
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=context, initializer=_init_worker
+        ) as pool:
+            # One future per cell: cells are few and coarse (a full
+            # train + evaluate each), so per-cell dispatch balances the
+            # load.  A dead worker breaks the pool, failing every
+            # pending future instead of waiting on it forever.
+            futures = [pool.submit(_execute_cell, payload) for payload in payloads]
+            outcomes = []
+            for cell, future in zip(cells, futures):
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as error:
+                    raise WorkerDiedError(
+                        f"experiment {spec.name!r}: a worker process died "
+                        f"while cell {cell.name!r} was pending"
+                    ) from error
     cell_results = [result for result, _ in outcomes]
     combined = spec.combine(params, resolved, cell_results)
     profile = None
     if mode is not None:
-        # Fold in cell order (pool.map preserves it); the registry's
-        # merge laws make the totals order-independent anyway.
+        # Fold in cell order (results are collected in it); the
+        # registry's merge laws make the totals order-independent anyway.
         profile = obs.merge_profiles(
             spec.name, [cell_profile for _, cell_profile in outcomes]
         )

@@ -47,7 +47,6 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.attack import AttackPipeline
-from repro.analysis.batch import flow_feature_matrix
 from repro.analysis.metrics import ConfusionMatrix, mean_accuracy
 from repro.experiments import parallel, registry
 
@@ -60,6 +59,7 @@ from repro.experiments.registry import (
     ScenarioParams,
     parse_number_list,
 )
+from repro.experiments.runner import defended_matrices
 from repro.schemes import canonical_stack, stack_label
 from repro.schemes.registry import build_stack
 from repro.storage import TraceStore, TraceStoreWriter, shard_for_key
@@ -256,24 +256,25 @@ def _run_cell(cell: ExperimentCell) -> PopulationShardResult:
                 truth = station_app(params.seed, station).value
                 # Each station realizes its own defense instance — a
                 # pure function of (root seed, station), so any process
-                # defends the station identically.
+                # defends the station identically.  A fresh stack per
+                # station is why this call is uncached: memoizing by
+                # identity would pin every station's memmapped view.
                 stack = build_stack(
                     specs,
                     seed=derive_seed(
                         params.seed, "population", "defense", station
                     ),
                 )
-                defended = stack.apply(trace)
+                matrices, stages = defended_matrices(
+                    stack, trace, window, pipeline.min_packets
+                )
                 stations += 1
                 packets += len(trace)
                 original_bytes += trace.total_bytes
-                extra_bytes += defended.extra_bytes
-                handshake_bytes += defended.handshake_bytes
-                flows += len(defended.flows)
-                for flow in defended.observable_flows:
-                    matrix = flow_feature_matrix(
-                        flow, window, pipeline.min_packets
-                    )
+                extra_bytes += sum(stage.extra_bytes for stage in stages)
+                handshake_bytes += sum(stage.handshake_bytes for stage in stages)
+                flows += stages[-1].flows
+                for matrix in matrices:
                     if not len(matrix):
                         continue
                     windows += len(matrix)

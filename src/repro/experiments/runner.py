@@ -1,18 +1,22 @@
-"""Experiment orchestration: train once, evaluate every scheme.
+"""Experiment orchestration: the one evaluation path, and its cached caller.
 
-The runner owns a trained :class:`~repro.analysis.attack.AttackPipeline`
-per eavesdropping window W and evaluates each defense scheme by
-transforming the evaluation traces and classifying the observable
-flows.  Schemes arrive as registry specs
-(:class:`~repro.schemes.SchemeSpec`, built + memoized per recipe via
-:meth:`ExperimentRunner.scheme`) or as legacy
-:class:`~repro.core.base.Reshaper` objects; both run through the same
-shared :class:`~repro.analysis.batch.WindowCache`, which memoizes
-observable flows per scheme and per-flow feature matrices per window,
-so the scheme grid and multi-window sweeps never repeat windowing
-work.  Pipelines are keyed by the normalized window
-(:func:`~repro.analysis.windows.window_key`), so float jitter in a
-sweep's window arithmetic cannot silently retrain a duplicate pipeline.
+:func:`defended_matrices` is the only place a defense scheme meets the
+attacker's featurizer: it turns ``(scheme, trace, window, min_packets)``
+into the per-observable-flow feature matrices plus the trace's
+per-stage cost.  A scheme that describes itself as a fused plan
+(:meth:`~repro.schemes.Scheme.fused_plan` — every reshaping-style
+scheme and stack) is featurized straight off the trace's columns by
+:func:`~repro.analysis.batch.fused_flow_matrices`; any other scheme
+(morphing, the combined defense) is materialized with ``apply`` and its
+flows featurized one by one.  Both paths are bit-identical where both
+apply and memoize in a :class:`~repro.analysis.batch.WindowCache`.
+
+:class:`ExperimentRunner` is the cached caller: it owns a trained
+:class:`~repro.analysis.attack.AttackPipeline` per eavesdropping window
+W (keyed by :func:`~repro.analysis.windows.window_key`, so float jitter
+in a sweep cannot retrain a duplicate pipeline), memoizes registry
+schemes per recipe so their identity is stable, and scores any scheme
+against any pipeline and evaluation split through :meth:`evaluate`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.analysis.batch import WindowCache, fused_flow_matrices
 from repro.analysis.windows import window_key
 from repro.core.base import Reshaper
+from repro.defenses.base import DefendedTraffic, StageOverhead
 from repro.experiments.scenarios import EvaluationScenario, build_schemes
 from repro.schemes import (
     DEFAULT_INTERFACES,
@@ -39,12 +44,76 @@ from repro.schemes import (
 from repro.traffic.apps import AppType
 from repro.traffic.trace import Trace
 
-__all__ = ["ExperimentRunner"]
+__all__ = ["ExperimentRunner", "defended_matrices"]
 
 #: What the evaluation entry points accept as "a scheme": a registry
 #: spec / composition, an already-built Scheme, a bare legacy
 #: Reshaper, or None for the undefended original.
 SchemeLike = "Scheme | Reshaper | SchemeSpec | Sequence[SchemeSpec] | str | None"
+
+
+def _defended(scheme: Scheme, trace: Trace, cache: WindowCache) -> DefendedTraffic:
+    """``scheme.apply(trace)`` through the cache, telemetry replayed."""
+    defended, subprofile = cache.defended_flows(
+        scheme, trace, lambda: obs.captured(lambda: scheme.apply(trace))
+    )
+    obs.replay(subprofile)
+    return defended
+
+
+def defended_matrices(
+    scheme: Scheme | None,
+    trace: Trace,
+    window: float,
+    min_packets: int = 2,
+    cache: WindowCache | None = None,
+) -> tuple[list[np.ndarray], tuple[StageOverhead, ...]]:
+    """Per-observable-flow feature matrices of ``trace`` under ``scheme``.
+
+    Returns the matrices in observable-flow order and the trace's
+    per-stage cost (empty for ``scheme=None``, the undefended original,
+    whose one flow is the trace itself).  Fusable schemes go through
+    their plan and the fused kernel with zero intermediate ``Trace``
+    allocation; the rest are applied and their flows featurized, each
+    such flow counted in ``batch.fallback_flows``.
+
+    With a ``cache`` every artifact is memoized by object identity and
+    the telemetry recorded while building it is replayed on every
+    request, so a call reports the same counters warm or cold.  Without
+    one nothing outlives the call — for callers that build a new scheme
+    per trace, where memoizing would only pin memory.
+    """
+    if cache is None:
+        cache = WindowCache()
+    if scheme is None:
+        return [cache.feature_matrix(trace, window, min_packets)], ()
+    plan, plan_subprofile = cache.fused_plan(
+        scheme, trace, lambda: obs.captured(lambda: scheme.fused_plan(trace))
+    )
+    if plan is None:
+        defended = _defended(scheme, trace, cache)
+        flows = defended.observable_flows
+        obs.add("batch.fallback_flows", len(flows))
+        matrices = [cache.feature_matrix(flow, window, min_packets) for flow in flows]
+        return matrices, defended.stages
+    obs.replay(plan_subprofile)
+    matrices, subprofile = cache.fused_matrices(
+        scheme,
+        trace,
+        window,
+        min_packets,
+        lambda: obs.captured(
+            lambda: fused_flow_matrices(trace, plan, window, min_packets)
+        ),
+    )
+    obs.replay(subprofile)
+    stages = tuple(
+        StageOverhead(
+            stage.scheme, stage.extra_bytes, stage.handshake_bytes, sum(stage.fanouts)
+        )
+        for stage in plan.stages
+    )
+    return matrices, stages
 
 
 @dataclass
@@ -59,6 +128,7 @@ class ExperimentRunner:
     _built: dict[tuple[SchemeSpec, ...], Scheme] = field(
         default_factory=dict, repr=False
     )
+    _adapted: dict[Reshaper, Scheme] = field(default_factory=dict, repr=False)
     _cache: WindowCache = field(default_factory=WindowCache, repr=False)
 
     @property
@@ -89,11 +159,11 @@ class ExperimentRunner:
         Accepts one spec, a stack of specs, or the ``"padding+or"``
         composition syntax.  Object identity is stable per canonical
         recipe — the same guarantee :meth:`schemes` gives for the
-        legacy reshaper dict — so the window cache reuses transformed
-        flows across cells, windows, and experiments.  Seeding comes
-        from the scenario (single schemes build with ``scenario.seed``
-        verbatim; stack stages get order-salted derivations — see
-        :func:`repro.schemes.build_stack`).
+        legacy reshaper dict — so the window cache reuses plans, flows
+        and matrices across cells, windows, and experiments.  Seeding
+        comes from the scenario (single schemes build with
+        ``scenario.seed`` verbatim; stack stages get order-salted
+        derivations — see :func:`repro.schemes.build_stack`).
         """
         if isinstance(composition, SchemeSpec):
             composition = (composition,)
@@ -103,123 +173,58 @@ class ExperimentRunner:
                 self._built[key] = build_stack(key, self.scenario.seed)
         return self._built[key]
 
-    def _resolve(self, scheme: "SchemeLike") -> tuple[object, Scheme | None]:
-        """``(cache key object, applied Scheme)`` for any scheme-like input.
+    def _resolve(self, scheme: "SchemeLike") -> Scheme | None:
+        """The identity-stable :class:`Scheme` for any scheme-like input.
 
-        Specs/compositions build through :meth:`scheme` (memoized, so
-        the key is identity-stable); legacy bare reshapers route through
-        the Scheme adapter for instrumentation while the cache stays
-        keyed on the reshaper itself (identity is what callers share).
-        ``None`` — the undefended original — resolves to ``(None, None)``.
+        Specs/compositions build through :meth:`scheme`; a bare
+        reshaper or defense gets one adapter per object, so the cache
+        keys on the same Scheme every time the caller passes it.
+        ``None`` — the undefended original — stays ``None``.
         """
-        if scheme is None:
-            return None, None
-        if isinstance(scheme, (SchemeSpec, str)) or (
-            not isinstance(scheme, (Scheme, Reshaper))
-            and isinstance(scheme, Sequence)
-        ):
-            scheme = self.scheme(scheme)
-        if isinstance(scheme, Scheme):
-            return scheme, scheme
-        return scheme, as_scheme(scheme)
+        if scheme is None or isinstance(scheme, Scheme):
+            return scheme
+        if isinstance(scheme, (SchemeSpec, str, Sequence)):
+            return self.scheme(scheme)
+        if scheme not in self._adapted:
+            self._adapted[scheme] = as_scheme(scheme)
+        return self._adapted[scheme]
 
-    def observable_flows(
-        self,
-        scheme: "SchemeLike",
-        trace: Trace,
-    ) -> list[Trace]:
+    def observable_flows(self, scheme: "SchemeLike", trace: Trace) -> list[Trace]:
         """What the eavesdropper captures when ``trace`` runs under ``scheme``.
 
-        Telemetry is cache-transparent: the scheme application records
-        its counters/spans into a captured subprofile stored next to
-        the memoized flows, and every request — hit or miss — replays
-        it.  A cell therefore observes identical ``scheme.*`` counts
-        whether it shares a warm serial cache or a cold per-worker one.
+        Memoized in the window cache like the evaluation path's
+        fallback, with the scheme's telemetry replayed on every request.
         """
-        key, applied = self._resolve(scheme)
+        applied = self._resolve(scheme)
         if applied is None:
             return [trace]
-        flows, subprofile = self._cache.defended_flows(
-            key,
-            trace,
-            lambda: obs.captured(lambda: applied.apply(trace).observable_flows),
-        )
-        obs.replay(subprofile)
-        return flows
+        return _defended(applied, trace, self._cache).observable_flows
 
-    def flow_feature_matrices(
+    def evaluate(
         self,
         scheme: "SchemeLike",
-        trace: Trace,
-        window: float,
-        min_packets: int = 2,
-    ) -> list[np.ndarray]:
-        """Per-observable-flow feature matrices of ``trace`` under ``scheme``.
+        pipeline: AttackPipeline,
+        traces_by_label: dict[str, list[Trace]],
+    ) -> tuple[AttackReport, list[tuple[StageOverhead, ...]]]:
+        """Attack ``traces_by_label`` defended by ``scheme``.
 
-        The fused-or-fallback dispatch point of the evaluation loop:
-        fusable schemes (reshaping-only — see
-        :meth:`repro.schemes.Scheme.fused_plan`) are featurized straight
-        off the trace's columns with zero intermediate ``Trace``
-        allocation; everything else (morphing, adaptive, custom
-        schemes) transparently falls back to the materializing
-        apply→featurize path, counted in ``batch.fallback_flows``.
-        Both paths memoize in the shared :class:`WindowCache` with
-        capture-and-replay telemetry, and both are bit-identical: the
-        fused path is property-tested against the legacy oracle
-        element-for-element.
+        Every trace goes through :func:`defended_matrices` with this
+        runner's cache at ``pipeline``'s window and ``min_packets``;
+        the pipeline scores all flows in one batch.  Returns the report
+        and each trace's per-stage cost, in label-then-trace order.
         """
-        key, applied = self._resolve(scheme)
-        if applied is None:
-            return [self._cache.feature_matrix(trace, window, min_packets)]
-        plan, plan_subprofile = self._cache.fused_plan(
-            key,
-            trace,
-            lambda: obs.captured(lambda: applied.fused_plan(trace)),
-        )
-        if plan is None:
-            flows = self.observable_flows(scheme, trace)
-            obs.add("batch.fallback_flows", len(flows))
-            return [
-                self._cache.feature_matrix(flow, window, min_packets)
-                for flow in flows
-            ]
-        obs.replay(plan_subprofile)
-        matrices, subprofile = self._cache.fused_matrices(
-            key,
-            trace,
-            window,
-            min_packets,
-            lambda: obs.captured(
-                lambda: fused_flow_matrices(trace, plan, window, min_packets)
-            ),
-        )
-        obs.replay(subprofile)
-        return matrices
-
-    def evaluate_scheme(
-        self,
-        scheme: "SchemeLike",
-        window: float,
-    ) -> AttackReport:
-        """Attack every application's evaluation sessions under one scheme.
-
-        Featurization routes through :meth:`flow_feature_matrices`
-        (fused when the scheme allows, materializing otherwise); scoring
-        is the pipeline's shared tail, so reports are bit-identical to
-        the legacy ``observable_flows`` → ``evaluate_flows`` loop.
-        """
-        pipeline = self.pipeline(window)
+        applied = self._resolve(scheme)
         matrices_by_label: dict[str, list[np.ndarray]] = {}
-        for label, traces in self.scenario.evaluation_by_label().items():
-            matrices: list[np.ndarray] = []
+        costs: list[tuple[StageOverhead, ...]] = []
+        for label, traces in traces_by_label.items():
+            matrices_by_label[label] = []
             for trace in traces:
-                matrices.extend(
-                    self.flow_feature_matrices(
-                        scheme, trace, window, pipeline.min_packets
-                    )
+                matrices, stages = defended_matrices(
+                    applied, trace, pipeline.window, pipeline.min_packets, self._cache
                 )
-            matrices_by_label[label] = matrices
-        return pipeline.evaluate_matrices(matrices_by_label)
+                matrices_by_label[label].extend(matrices)
+                costs.append(stages)
+        return pipeline.evaluate_matrices(matrices_by_label), costs
 
     def schemes(self, interfaces: int = DEFAULT_INTERFACES) -> dict[str, Reshaper | None]:
         """The runner's scheme set (built once per interface count).
@@ -237,10 +242,11 @@ class ExperimentRunner:
         interfaces: int = DEFAULT_INTERFACES,
     ) -> dict[str, AttackReport]:
         """Reports for Original / FH / RA / RR / OR at one window size."""
-        reports: dict[str, AttackReport] = {}
-        for name, reshaper in self.schemes(interfaces).items():
-            reports[name] = self.evaluate_scheme(reshaper, window)
-        return reports
+        traces_by_label = self.scenario.evaluation_by_label()
+        return {
+            name: self.evaluate(reshaper, self.pipeline(window), traces_by_label)[0]
+            for name, reshaper in self.schemes(interfaces).items()
+        }
 
     @staticmethod
     def app_order() -> tuple[AppType, ...]:

@@ -163,7 +163,9 @@ def _replay_run_cell(cell: ExperimentCell) -> dict[str, object]:
     return {
         "scheme": str(cell.params["scheme"]),
         "streaming": attacker.report(),
-        "batch": runner.evaluate_scheme(scheme, window),
+        "batch": runner.evaluate(
+            scheme, pipeline, runner.scenario.evaluation_by_label()
+        )[0],
         "windows": len(attacker.predictions),
     }
 

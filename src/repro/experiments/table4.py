@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.attack import AttackReport
-from repro.experiments import parallel, registry
+from repro.experiments import registry
+from repro.experiments.parallel import scheme_cell_report
 from repro.experiments.registry import (
     ExperimentCell,
     ExperimentSpec,
@@ -65,7 +66,11 @@ def table4_false_positives(
     orthogonal = runner.scheme(legacy_scheme_spec("or", interfaces))
     for window in windows:
         for scheme, evaluated in (("Original", None), ("OR", orthogonal)):
-            report = runner.evaluate_scheme(evaluated, window)
+            report, _ = runner.evaluate(
+                evaluated,
+                runner.pipeline(window),
+                scenario.evaluation_by_label(),
+            )
             fp_rates[(window, scheme)] = report.false_positive_by_class
             mean_fp[(window, scheme)] = report.mean_false_positive
     return Table4Result(fp_rates=fp_rates, mean_fp=mean_fp)
@@ -102,12 +107,6 @@ def _cells(
         )
         for window, scheme in _grid(options)
     )
-
-
-def _run_cell(cell: ExperimentCell) -> AttackReport:
-    runner = parallel.shared_runner(cell.params["scenario"])
-    scheme = runner.scheme(cell.params["spec"])
-    return runner.evaluate_scheme(scheme, float(cell.params["window"]))
 
 
 def _combine(
@@ -152,7 +151,7 @@ registry.register(
             "undefended vs OR; one cell per (window, scheme)."
         ),
         build_cells=_cells,
-        run_cell=_run_cell,
+        run_cell=scheme_cell_report,
         combine=_combine,
         to_result=_to_result,
         options={"windows": "5,60", "interfaces": DEFAULT_INTERFACES},

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.attack import AttackReport
-from repro.experiments import parallel, registry
+from repro.experiments import registry
+from repro.experiments.parallel import scheme_cell_report
 from repro.experiments.registry import (
     ExperimentCell,
     ExperimentSpec,
@@ -65,7 +66,11 @@ def table5_interface_sweep(
     accuracies: dict[int, dict[str, float]] = {}
     means: dict[int, float] = {}
     for count in interface_counts:
-        report = runner.evaluate_scheme(legacy_scheme_spec("or", count), window)
+        report, _ = runner.evaluate(
+            legacy_scheme_spec("or", count),
+            runner.pipeline(window),
+            scenario.evaluation_by_label(),
+        )
         accuracies[count] = report.accuracy_by_class
         means[count] = report.mean_accuracy
     return Table5Result(accuracies=accuracies, means=means)
@@ -97,12 +102,6 @@ def _cells(
         )
         for count in _counts(options)
     )
-
-
-def _run_cell(cell: ExperimentCell) -> AttackReport:
-    runner = parallel.shared_runner(cell.params["scenario"])
-    scheme = runner.scheme(cell.params["spec"])
-    return runner.evaluate_scheme(scheme, float(cell.params["window"]))
 
 
 def _combine(
@@ -142,7 +141,7 @@ registry.register(
             "{2, 3, 5}; one cell per interface count."
         ),
         build_cells=_cells,
-        run_cell=_run_cell,
+        run_cell=scheme_cell_report,
         combine=_combine,
         to_result=_to_result,
         options={

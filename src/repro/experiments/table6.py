@@ -21,7 +21,6 @@ from repro.analysis.attack import AttackPipeline
 from repro.analysis.windows import window_key
 from repro.defenses.morphing import TrafficMorphing
 from repro.defenses.overhead import overhead_percent
-from repro.defenses.padding import PacketPadding
 from repro.experiments import parallel, registry
 from repro.experiments.registry import (
     ExperimentCell,
@@ -29,9 +28,9 @@ from repro.experiments.registry import (
     ScenarioParams,
     make_cell,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import EvaluationScenario
 from repro.traffic.apps import AppType
-from repro.traffic.trace import Trace
 from repro.util.results import ExperimentResult
 
 __all__ = ["Table6Result", "table6_efficiency"]
@@ -100,36 +99,54 @@ class Table6Result:
         return rows
 
 
-def _app_defenses(
-    scenario: EvaluationScenario,
+def _app_row(
+    runner: ExperimentRunner,
+    pipeline: AttackPipeline,
     app: AppType,
-) -> tuple[list[Trace], float, float]:
-    """One application's padded flows and per-defense mean overheads."""
-    padding = PacketPadding()
-    morph_pairs = TrafficMorphing.paper_morph_pairs()
-    pad_overheads: list[float] = []
-    morph_overheads: list[float] = []
-    flows: list[Trace] = []
-    for session_index, trace in enumerate(scenario.evaluation_by_app()[app]):
-        defended = padding.apply(trace)
-        pad_overheads.append(overhead_percent(defended))
-        flows.extend(defended.observable_flows)
+) -> tuple[float, float, float]:
+    """One application's timing-attack accuracy and mean overheads.
 
-        target_app = morph_pairs.get(app.value)
+    Per-class accuracy depends only on that class's confusion row, so
+    attacking each application's padded traffic on its own yields
+    exactly the joint evaluation's per-app accuracies.  Morphing is
+    only costed, never attacked: it changes sizes alone, so the timing
+    attack scores it like padding.
+    """
+    scenario = runner.scenario
+    traces = scenario.evaluation_by_app()[app]
+    report, costs = runner.evaluate("padding", pipeline, {app.value: traces})
+    pad_overheads = [
+        100.0 * sum(stage.extra_bytes for stage in stages) / trace.total_bytes
+        if trace.total_bytes
+        else 0.0
+        for trace, stages in zip(traces, costs)
+    ]
+    target_app = TrafficMorphing.paper_morph_pairs().get(app.value)
+    morph_overheads: list[float] = []
+    for session_index, trace in enumerate(traces):
         if target_app is None:
             morph_overheads.append(0.0)
-        else:
-            morpher = TrafficMorphing(
-                target_trace=scenario.evaluation_trace(AppType(target_app)),
-                seed=scenario.seed + session_index,
-            )
-            morphed = morpher.apply(trace)
-            morph_overheads.append(overhead_percent(morphed))
+            continue
+        morpher = TrafficMorphing(
+            target_trace=scenario.evaluation_trace(AppType(target_app)),
+            seed=scenario.seed + session_index,
+        )
+        morph_overheads.append(overhead_percent(morpher.apply(trace)))
     return (
-        flows,
+        report.accuracy_by_class[app.value],
         sum(pad_overheads) / len(pad_overheads),
         sum(morph_overheads) / len(morph_overheads),
     )
+
+
+def _timing_attacker(scenario: EvaluationScenario, window: float) -> AttackPipeline:
+    """The timing-only attacker, trained on the scenario's training split."""
+    pipeline = AttackPipeline(
+        window=window,
+        seed=scenario.seed,
+        feature_indices=_TIMING_FEATURES,
+    )
+    return pipeline.train(scenario.training_traces())
 
 
 def table6_efficiency(
@@ -137,58 +154,31 @@ def table6_efficiency(
     window: float = 5.0,
 ) -> Table6Result:
     """Regenerate Table VI (timing attack + per-defense overheads)."""
-    scenario = scenario or EvaluationScenario()
-    pipeline = AttackPipeline(
-        window=window,
-        seed=scenario.seed,
-        feature_indices=_TIMING_FEATURES,
-    )
-    pipeline.train(scenario.training_traces())
+    runner = ExperimentRunner(scenario or EvaluationScenario())
+    pipeline = _timing_attacker(runner.scenario, window)
+    return _table([_app_row(runner, pipeline, app) for app in AppType])
 
-    accuracy: dict[str, float] = {}
-    padding_overhead: dict[str, float] = {}
-    morphing_overhead: dict[str, float] = {}
-    flows_by_label: dict[str, list] = {}
-    for app in AppType:
-        flows, pad_mean, morph_mean = _app_defenses(scenario, app)
-        padding_overhead[app.value] = pad_mean
-        morphing_overhead[app.value] = morph_mean
-        flows_by_label[app.value] = flows
 
-    report = pipeline.evaluate_flows(flows_by_label)
-    for app in AppType:
-        accuracy[app.value] = report.accuracy_by_class[app.value]
-
+def _table(rows: list[tuple[float, float, float]]) -> Table6Result:
+    """Table VI from per-application rows in :class:`AppType` order."""
+    apps = [app.value for app in AppType]
     return Table6Result(
-        accuracy=accuracy,
-        padding_overhead=padding_overhead,
-        morphing_overhead=morphing_overhead,
+        accuracy={app: row[0] for app, row in zip(apps, rows)},
+        padding_overhead={app: row[1] for app, row in zip(apps, rows)},
+        morphing_overhead={app: row[2] for app, row in zip(apps, rows)},
     )
 
 
 # ----------------------------------------------------------------------
 # Registry integration: one cell per application
-#
-# Per-class accuracy depends only on that class's confusion row, so
-# classifying each application's padded flows in its own cell yields
-# exactly the joint evaluation's per-app accuracies.
 # ----------------------------------------------------------------------
 
 
 def _timing_pipeline(params: ScenarioParams, window: float) -> AttackPipeline:
     """Process-local timing-attack pipeline (trained once per worker)."""
-
-    def build() -> AttackPipeline:
-        scenario = parallel.shared_scenario(params)
-        pipeline = AttackPipeline(
-            window=window,
-            seed=scenario.seed,
-            feature_indices=_TIMING_FEATURES,
-        )
-        return pipeline.train(scenario.training_traces())
-
     return parallel.worker_cached(
-        ("table6-pipeline", params, window_key(window)), build
+        ("table6-pipeline", params, window_key(window)),
+        lambda: _timing_attacker(parallel.shared_scenario(params), window),
     )
 
 
@@ -212,13 +202,12 @@ def _cells(
 
 def _run_cell(cell: ExperimentCell) -> tuple[float, float, float]:
     params = cell.params["scenario"]
-    app = AppType(cell.params["app"])
     window = float(cell.params["window"])
-    scenario = parallel.shared_scenario(params)
-    pipeline = _timing_pipeline(params, window)
-    flows, pad_mean, morph_mean = _app_defenses(scenario, app)
-    report = pipeline.evaluate_flows({app.value: flows})
-    return report.accuracy_by_class[app.value], pad_mean, morph_mean
+    return _app_row(
+        parallel.shared_runner(params),
+        _timing_pipeline(params, window),
+        AppType(cell.params["app"]),
+    )
 
 
 def _combine(
@@ -226,18 +215,7 @@ def _combine(
     options: dict[str, object],
     results: list[tuple[float, float, float]],
 ) -> Table6Result:
-    accuracy: dict[str, float] = {}
-    padding_overhead: dict[str, float] = {}
-    morphing_overhead: dict[str, float] = {}
-    for app, (acc, pad_mean, morph_mean) in zip(AppType, results):
-        accuracy[app.value] = acc
-        padding_overhead[app.value] = pad_mean
-        morphing_overhead[app.value] = morph_mean
-    return Table6Result(
-        accuracy=accuracy,
-        padding_overhead=padding_overhead,
-        morphing_overhead=morphing_overhead,
-    )
+    return _table(results)
 
 
 def _to_result(

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.analysis.attack import AttackReport
-from repro.experiments import parallel, registry
+from repro.experiments import registry
+from repro.experiments.parallel import scheme_cell_report
 from repro.experiments.registry import (
     ExperimentCell,
     ExperimentSpec,
@@ -102,12 +103,6 @@ def _accuracy_cells(
     )
 
 
-def _run_accuracy_cell(cell: ExperimentCell) -> AttackReport:
-    runner = parallel.shared_runner(cell.params["scenario"])
-    scheme = runner.scheme(cell.params["spec"])
-    return runner.evaluate_scheme(scheme, float(cell.params["window"]))
-
-
 def _combine_accuracy(
     params: ScenarioParams,
     options: dict[str, object],
@@ -148,7 +143,7 @@ for _name, _window, _title in (
                 "Original/FH/RA/RR/OR; one cell per scheme."
             ),
             build_cells=partial(_accuracy_cells, experiment=_name),
-            run_cell=_run_accuracy_cell,
+            run_cell=scheme_cell_report,
             combine=_combine_accuracy,
             to_result=partial(_accuracy_result, experiment=_name, title=_title),
             options={"window": _window, "interfaces": DEFAULT_INTERFACES},

@@ -69,11 +69,13 @@ def window_sweep(
     runner = ExperimentRunner(scenario)
     orthogonal_scheme = runner.scheme(legacy_scheme_spec("or"))
     original, orthogonal = [], []
+    traces_by_label = scenario.evaluation_by_label()
     for window in windows:
-        original.append(runner.evaluate_scheme(None, window).mean_accuracy)
-        orthogonal.append(
-            runner.evaluate_scheme(orthogonal_scheme, window).mean_accuracy
-        )
+        for scheme, means in ((None, original), (orthogonal_scheme, orthogonal)):
+            report, _ = runner.evaluate(
+                scheme, runner.pipeline(window), traces_by_label
+            )
+            means.append(report.mean_accuracy)
     return WindowSweepResult(
         windows=tuple(windows),
         original=tuple(original),
@@ -122,9 +124,7 @@ def _cells(
 
 
 def _run_cell(cell: ExperimentCell) -> float:
-    runner = parallel.shared_runner(cell.params["scenario"])
-    scheme = runner.scheme(cell.params["spec"])
-    return runner.evaluate_scheme(scheme, float(cell.params["window"])).mean_accuracy
+    return parallel.scheme_cell_report(cell).mean_accuracy
 
 
 def _combine(

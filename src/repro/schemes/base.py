@@ -1,11 +1,15 @@
 """The unified defense-scheme interface: one trace transform to rule them all.
 
-The repo grew two disjoint abstractions for the paper's defenses —
-:class:`~repro.core.base.Reshaper` (+ :class:`~repro.core.engine.ReshapingEngine`)
-for the scheduling schemes and :class:`~repro.defenses.base.Defense` for
-the byte-level baselines.  A :class:`Scheme` subsumes both: a named,
-resettable transform ``apply(trace) -> DefendedTraffic`` whose output
-carries its own overhead/handshake accounting.  Because every scheme
+The paper's defenses come in two shapes —
+:class:`~repro.core.base.Reshaper` for the scheduling schemes and
+:class:`~repro.defenses.base.Defense` for the byte-level baselines.  A
+:class:`Scheme` subsumes both: a named, resettable transform
+``apply(trace) -> DefendedTraffic`` whose output carries its own
+overhead/handshake accounting, and which may also describe itself as a
+:class:`~repro.defenses.base.FusedPlan` (:meth:`Scheme.fused_plan`).
+The evaluation loop takes the plan when there is one and ``apply``
+otherwise — one dispatch,
+:func:`repro.experiments.runner.defended_matrices`.  Because every scheme
 speaks the same contract, they **compose**: :class:`SchemeStack` chains
 any sequence (padding → OR → FH, ...), fanning each stage over the
 previous stage's observable flows and rolling the per-stage accounting
@@ -14,9 +18,8 @@ up into one report.
 Composition semantics:
 
 * Stage *k+1* is applied to **each** observable flow stage *k* emitted,
-  independently (each flow is its own association, mirroring
-  ``ReshapingEngine.apply_many``); its outputs concatenate, renumbered
-  in stage-major order.
+  independently (each flow is its own association); its outputs
+  concatenate, renumbered in stage-major order.
 * ``extra_bytes`` / ``handshake_bytes`` are **additive** across stages:
   the stack's totals are the per-stage sums, and every stage's own
   contribution is preserved in ``DefendedTraffic.stages``.
@@ -39,7 +42,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.base import Reshaper
-from repro.core.engine import ReshapingEngine
+from repro.core.optimization import verify_partition
 from repro.defenses.base import (
     ChainedSizeTransform,
     DefendedTraffic,
@@ -52,6 +55,7 @@ from repro.obs import add, gauge, observe, span
 from repro.traffic.trace import Trace
 
 __all__ = [
+    "CONFIG_MESSAGE_BYTES",
     "DefenseScheme",
     "IdentityScheme",
     "ReshaperScheme",
@@ -132,10 +136,6 @@ class Scheme(abc.ABC):
     def reset(self) -> None:
         """Clear any online state (delegated to wrapped objects)."""
 
-    def apply_many(self, traces: Sequence[Trace]) -> list[DefendedTraffic]:
-        """Apply the scheme to several traces independently."""
-        return [self.apply(trace) for trace in traces]
-
     @property
     def reshaper(self) -> Reshaper | None:
         """The underlying packet scheduler, when the scheme has one.
@@ -214,36 +214,48 @@ class IdentityScheme(Scheme):
         )
 
 
+#: Size of one configuration-protocol message on the wire (request or
+#: reply payload + frame overhead); measured from the protocol encoding.
+CONFIG_MESSAGE_BYTES = 196
+
+#: Fig. 2 handshake of one association: one request plus one reply —
+#: the only message overhead reshaping introduces (Sec. V-B).
+_HANDSHAKE_BYTES = 2 * CONFIG_MESSAGE_BYTES
+
+
 class ReshaperScheme(Scheme):
     """Adapter: any :class:`~repro.core.base.Reshaper` as a :class:`Scheme`.
 
-    ``apply`` runs the trace through a :class:`ReshapingEngine` (state
-    reset, partition verified) — bit-identical to the engine path the
-    batch experiments always used — and charges the engine's Fig. 2
+    ``apply`` resets the scheduler, reshapes the whole trace, verifies
+    that reshaping is a pure partition of the original traffic
+    (Sec. III-A), and splits the result into per-interface observable
+    flows.  Each apply is one association, charged one Fig. 2
     configuration handshake as the stage's ``handshake_bytes``.
     """
 
     def __init__(self, name: str, reshaper: Reshaper):
         self.name = str(name)
-        self._engine = ReshapingEngine(reshaper)
+        self._reshaper = reshaper
 
     @property
     def reshaper(self) -> Reshaper:
-        return self._engine.reshaper
+        return self._reshaper
 
     def reset(self) -> None:
-        self._engine.reshaper.reset()
+        self._reshaper.reset()
 
     def apply(self, trace: Trace) -> DefendedTraffic:
         with span(f"scheme.apply[{self.name}]"):
-            result = self._engine.apply(trace)
-            handshake = self._engine.config_overhead_bytes
+            self._reshaper.reset()
+            reshaped = self._reshaper.reshape(trace)
+            verify_partition(trace, reshaped)
+            flows = reshaped.split_by_iface()
             defended = DefendedTraffic(
                 original=trace,
-                flows=result.flows,
+                flows=flows,
                 extra_bytes=0,
-                handshake_bytes=handshake,
-                stages=(StageOverhead(self.name, 0, handshake, len(result.flows)),),
+                handshake_bytes=_HANDSHAKE_BYTES,
+                stages=(StageOverhead(self.name, 0, _HANDSHAKE_BYTES, len(flows)),),
             )
         return _record_apply(self.name, defended)
 
@@ -254,13 +266,12 @@ class ReshaperScheme(Scheme):
         directions: np.ndarray,
         label: str | None,
     ) -> FusedPlan | None:
-        raw = self._engine.reshaper.assign_columns(times, sizes, directions)
+        raw = self._reshaper.assign_columns(times, sizes, directions)
         if raw is None:
             return None
         plan = FusedPlan.from_assignments(raw)
-        handshake = self._engine.config_overhead_bytes
         return plan.with_stages(
-            (FusedStage(self.name, 1, (plan.n_flows,), 0, handshake),)
+            (FusedStage(self.name, 1, (plan.n_flows,), 0, _HANDSHAKE_BYTES),)
         )
 
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.core.base import Reshaper
-from repro.core.engine import CONFIG_MESSAGE_BYTES
 from repro.mac.addresses import MacAddress, random_mac
 from repro.mac.virtual_iface import VirtualInterfaceSet
+from repro.schemes.base import CONFIG_MESSAGE_BYTES
 from repro.stream.attack import OnlineAttack, WindowPrediction
 from repro.stream.source import PacketStream
 from repro.traffic.trace import Trace
@@ -209,7 +209,8 @@ def run_arms_race(
             read — never mutated.
         base_factory: zero-argument callable building a fresh base
             reshaper per trace (scheduler state must not leak between
-            associations, mirroring ``ReshapingEngine.apply``).
+            associations, as :meth:`repro.schemes.ReshaperScheme.apply`
+            resets it per trace).
         adaptive: when False the defender never reallocates (the static
             baseline; everything else identical).
         confidence_threshold / cooldown: trigger tuning, see

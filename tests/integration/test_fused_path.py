@@ -17,9 +17,10 @@ import pytest
 from repro import obs
 from repro.analysis.batch import WindowCache
 from repro.cli import main
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.combined_grid import DEFAULT_COMPOSITIONS
+from repro.experiments.runner import ExperimentRunner, defended_matrices
 from repro.experiments.scenarios import EvaluationScenario
-from repro.schemes import LEGACY_SCHEME_SPECS
+from repro.schemes import LEGACY_SCHEME_SPECS, build_stack
 
 pytestmark = pytest.mark.smoke
 
@@ -41,8 +42,16 @@ def scenario():
     )
 
 
+def evaluate(runner, scheme, window):
+    """``scheme``'s report on the runner's own pipeline and split."""
+    report, _ = runner.evaluate(
+        scheme, runner.pipeline(window), runner.scenario.evaluation_by_label()
+    )
+    return report
+
+
 def legacy_report(runner, scheme, window):
-    """The materializing loop evaluate_scheme replaced."""
+    """The materializing apply -> featurize -> score loop."""
     pipeline = runner.pipeline(window)
     flows_by_label = {
         label: [
@@ -69,22 +78,58 @@ class TestRunnerParity:
     def test_reports_match_materializing_loop(self, scenario, spec):
         fused_runner = ExperimentRunner(scenario)
         legacy_runner = ExperimentRunner(scenario)
-        fused = fused_runner.evaluate_scheme(spec, window=5.0)
+        fused = evaluate(fused_runner, spec, window=5.0)
         reference = legacy_report(legacy_runner, spec, window=5.0)
         assert_reports_equal(fused, reference)
 
     def test_morphing_falls_back_and_still_matches(self, scenario):
         fused_runner = ExperimentRunner(scenario)
         legacy_runner = ExperimentRunner(scenario)
-        fused = fused_runner.evaluate_scheme("morphing", window=5.0)
+        fused = evaluate(fused_runner, "morphing", window=5.0)
         reference = legacy_report(legacy_runner, "morphing", window=5.0)
         assert_reports_equal(fused, reference)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("composition", DEFAULT_COMPOSITIONS)
+    def test_costs_and_matrices_match_apply(self, scenario, composition):
+        """Fused or not, the dispatch reports what ``apply`` would."""
+        stack = build_stack(composition, seed=11)
+        trace = scenario.evaluation_trace(scenario.apps[-1])
+        matrices, stages = defended_matrices(stack, trace, 5.0)
+        defended = stack.apply(trace)
+        assert stages == defended.stages
+        assert len(matrices) == len(defended.observable_flows)
+        for matrix, flow in zip(matrices, defended.observable_flows):
+            np.testing.assert_array_equal(
+                matrix, WindowCache().feature_matrix(flow, 5.0, 2)
+            )
+
+    def test_cached_call_matches_uncached(self, scenario):
+        stack = build_stack("padding+or", seed=11)
+        trace = scenario.evaluation_trace(scenario.apps[0])
+        cache = WindowCache()
+        cached = defended_matrices(stack, trace, 5.0, 2, cache)
+        again = defended_matrices(stack, trace, 5.0, 2, cache)
+        uncached = defended_matrices(stack, trace, 5.0, 2)
+        assert again[0] is cached[0]
+        assert cached[1] == uncached[1]
+        for a, b in zip(cached[0], uncached[0]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_undefended_original_is_the_trace(self, scenario):
+        trace = scenario.evaluation_trace(scenario.apps[0])
+        (matrix,), stages = defended_matrices(None, trace, 5.0)
+        assert stages == ()
+        np.testing.assert_array_equal(
+            matrix, WindowCache().feature_matrix(trace, 5.0, 2)
+        )
 
 
 class TestRouteTelemetry:
     def _evaluate(self, scenario, spec):
         runner = ExperimentRunner(scenario)
-        _, sub = obs.captured(lambda: runner.evaluate_scheme(spec, window=5.0))
+        _, sub = obs.captured(lambda: evaluate(runner, spec, window=5.0))
         return sub.metrics.counters
 
     def test_fusable_scheme_never_falls_back(self, scenario):
@@ -100,8 +145,8 @@ class TestRouteTelemetry:
 
     def test_second_window_hits_the_plan_cache(self, scenario):
         runner = ExperimentRunner(scenario)
-        runner.evaluate_scheme("or", window=5.0)
-        _, sub = obs.captured(lambda: runner.evaluate_scheme("or", window=7.0))
+        evaluate(runner, "or", window=5.0)
+        _, sub = obs.captured(lambda: evaluate(runner, "or", window=7.0))
         counters = sub.metrics.counters
         # Plans are window-independent: the second window replans nothing.
         assert counters["proc.window_cache.plan_hits"] > 0

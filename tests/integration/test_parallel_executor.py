@@ -171,3 +171,77 @@ class TestProfileOptIn:
         # One capture per cell, folded additively at run level.
         assert profile["counters"]["executor.cells_run"] == len(profile["cells"])
         assert profile["counters"]["scheme.apply_calls"] >= len(profile["cells"])
+
+
+#: Registers an experiment whose second cell SIGKILLs the fork worker
+#: running it, then runs it with two workers.  Which pending cell the
+#: error names depends on scheduling, so only its presence is checked.  Executed in a subprocess
+#: so a regression to an executor that waits on a dead worker forever
+#: fails on the timeout instead of hanging the suite.
+_WORKER_DEATH_SCRIPT = """
+import os
+import signal
+
+from repro.experiments import parallel, registry
+from repro.experiments.registry import ExperimentSpec, ScenarioParams, make_cell
+
+PARENT = os.getpid()
+
+
+def build_cells(params, options):
+    return tuple(
+        make_cell("worker_death", f"cell={index}", {"index": index}, params.seed)
+        for index in range(2)
+    )
+
+
+def run_cell(cell):
+    if cell.params["index"] == 1 and os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return cell.params["index"]
+
+
+registry.register(
+    ExperimentSpec(
+        name="worker_death",
+        title="a cell that kills its worker",
+        description="executor fault test",
+        build_cells=build_cells,
+        run_cell=run_cell,
+        combine=lambda params, options, results: results,
+        to_result=lambda params, options, combined: combined,
+    )
+)
+try:
+    parallel.run_experiment(
+        "worker_death", ScenarioParams(), jobs=2, start_method="fork"
+    )
+except parallel.WorkerDiedError as error:
+    print("raised:", error)
+else:
+    print("no error")
+"""
+
+
+class TestWorkerDeath:
+    """A dead worker fails the run loudly, naming experiment and cell."""
+
+    def test_killed_worker_raises_named_error(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        completed = subprocess.run(
+            [sys.executable, "-c", _WORKER_DEATH_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "raised:" in completed.stdout, completed.stdout
+        assert "'worker_death'" in completed.stdout
+        assert "cell 'cell=" in completed.stdout

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import ReshapingEngine
+from repro.schemes import as_scheme
 from repro.core.optimization import interface_distributions
 from repro.core.schedulers import (
     FrequencyHoppingScheduler,
@@ -58,8 +58,8 @@ def reshapers():
 @given(trace=traces(), reshaper=reshapers())
 @settings(max_examples=60, deadline=None)
 def test_reshaping_is_a_pure_partition(trace, reshaper):
-    engine = ReshapingEngine(reshaper)
-    result = engine.apply(trace)  # verify_partition runs inside
+    scheme = as_scheme(reshaper)
+    result = scheme.apply(trace)  # verify_partition runs inside
     # Every packet lands on exactly one interface.
     assert sum(len(flow) for flow in result.flows.values()) == len(trace)
     # Byte conservation: no noise traffic is ever added (Sec. III-A).
@@ -86,7 +86,7 @@ def test_or_achieves_optimal_objective(trace):
 @settings(max_examples=60, deadline=None)
 def test_or_interfaces_are_size_disjoint(trace):
     reshaper = OrthogonalReshaper.paper_default()
-    result = ReshapingEngine(reshaper).apply(trace)
+    result = as_scheme(reshaper).apply(trace)
     ranges = {
         0: (1, 232),
         1: (233, 1540),
@@ -134,8 +134,8 @@ def test_quantile_reshaper_is_a_partition(trace):
     if len(trace) == 0:
         return
     reshaper = QuantileBoundaryReshaper.fit(trace, interfaces=3)
-    engine = ReshapingEngine(reshaper)
-    result = engine.apply(trace)
+    scheme = as_scheme(reshaper)
+    result = scheme.apply(trace)
     assert sum(len(flow) for flow in result.flows.values()) == len(trace)
     # Fitted boundaries stay strictly increasing.
     assert all(

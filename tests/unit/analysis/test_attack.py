@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.analysis.attack import AttackPipeline, DefenseEvaluation
-from repro.core.engine import ReshapingEngine
+from repro.analysis.attack import AttackPipeline
 from repro.core.schedulers import OrthogonalReshaper
 from repro.defenses.padding import PacketPadding
+from repro.schemes import as_scheme
 from repro.traffic.apps import AppType
 
 
@@ -68,8 +68,7 @@ class TestEvaluation:
 
         generator = TrafficGenerator(seed=778)
         bt = generator.generate(AppType.BITTORRENT, 60.0, session=5)
-        engine = ReshapingEngine(OrthogonalReshaper.paper_default())
-        flows = engine.apply(bt).observable_flows
+        flows = as_scheme(OrthogonalReshaper.paper_default()).apply(bt).observable_flows
         report = trained.evaluate_flows({"bittorrent": flows})
         assert report.accuracy_by_class["bittorrent"] < 60.0
 
@@ -101,14 +100,13 @@ class TestEvaluation:
         with pytest.raises(RuntimeError):
             AttackPipeline(window=5.0).classify_matrix(np.zeros((1, 12)))
 
-    def test_defense_evaluation_container(self, trained):
+    def test_defended_flows_are_scored(self, trained):
         from repro.traffic.generator import TrafficGenerator
 
         generator = TrafficGenerator(seed=779)
-        evaluation = DefenseEvaluation()
         trace = generator.generate(AppType.CHATTING, 60.0, session=3)
-        evaluation.add("chatting", PacketPadding().apply(trace))
-        report = trained.evaluate_defense(evaluation)
+        flows = PacketPadding().apply(trace).observable_flows
+        report = trained.evaluate_flows({"chatting": flows})
         assert report.confusion.total > 0
 
     def test_report_mean_fp(self, trained):

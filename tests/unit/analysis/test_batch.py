@@ -21,6 +21,7 @@ from repro.analysis.features import (
     features_from_windows,
 )
 from repro.analysis.windows import sliding_windows, window_traces
+from repro.defenses.base import DefendedTraffic
 from repro.traffic.trace import Trace
 
 
@@ -166,21 +167,22 @@ class TestWindowCache:
         assert cache.feature_matrix(flow, 0.1 + 0.2, 2) is cache.feature_matrix(flow, 0.3, 2)
         assert cache.misses == 1
 
-    def test_observable_flows_builds_once(self):
+    def test_defended_flows_builds_once(self):
         trace = Trace.from_arrays([0.0, 1.0], [10, 20])
         cache = WindowCache()
         calls = []
+        defended = DefendedTraffic(original=trace, flows={0: trace})
 
         def build():
             calls.append(1)
-            return [trace]
+            return defended, None
 
         scheme = object()
-        assert cache.observable_flows(scheme, trace, build) == [trace]
-        assert cache.observable_flows(scheme, trace, build) == [trace]
+        assert cache.defended_flows(scheme, trace, build) == (defended, None)
+        assert cache.defended_flows(scheme, trace, build) == (defended, None)
         assert len(calls) == 1
-        # A different scheme re-reshapes.
-        cache.observable_flows(object(), trace, build)
+        # A different scheme re-applies.
+        cache.defended_flows(object(), trace, build)
         assert len(calls) == 2
 
     def test_clear(self):

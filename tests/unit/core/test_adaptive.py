@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import QuantileBoundaryReshaper, quantile_boundaries
-from repro.core.engine import ReshapingEngine
+from repro.schemes import as_scheme
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.sizes import MAX_PACKET_SIZE
@@ -39,7 +39,7 @@ class TestQuantileBoundaryReshaper:
 
     def test_fit_and_partition(self, bt):
         reshaper = QuantileBoundaryReshaper.fit(bt, interfaces=3)
-        result = ReshapingEngine(reshaper).apply(bt)
+        result = as_scheme(reshaper).apply(bt)
         counts = [len(flow) for flow in result.flows.values()]
         # Equal-mass boundaries balance the interfaces far better than the
         # fixed paper ranges do on a bimodal flow.

@@ -34,8 +34,8 @@ class TestPipelineCache:
 
 class TestWindowCacheSharing:
     def test_scheme_objects_stable_across_calls(self, runner):
-        # Reshaper identity keys the observable-flows cache, so the
-        # runner must not rebuild fresh scheme objects per call.
+        # Scheme identity keys the window cache, so the runner must
+        # not rebuild fresh scheme objects per call.
         first = runner.schemes(3)
         second = runner.schemes(3)
         assert all(first[name] is second[name] for name in first)
@@ -54,10 +54,13 @@ class TestWindowCacheSharing:
 
     def test_evaluation_populates_feature_cache(self, runner):
         runner.window_cache.clear()
-        runner.evaluate_scheme(None, 5.0)
+        pipeline = runner.pipeline(5.0)
+        traces = runner.scenario.evaluation_by_label()
+        runner.evaluate(None, pipeline, traces)
         misses = runner.window_cache.misses
         assert misses > 0
-        report = runner.evaluate_scheme(None, 5.0)
+        report, costs = runner.evaluate(None, pipeline, traces)
+        assert costs == [()] * sum(len(group) for group in traces.values())
         assert runner.window_cache.misses == misses  # second pass all hits
         assert runner.window_cache.hits >= misses
         assert report.confusion.total > 0

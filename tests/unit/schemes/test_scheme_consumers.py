@@ -47,16 +47,26 @@ class TestRunnerSchemes:
         for flows in (from_str, from_spec, from_tuple):
             assert all(a is b for a, b in zip(flows, from_obj))
 
-    def test_evaluate_scheme_accepts_spec_directly(self, runner):
-        by_spec = runner.evaluate_scheme(legacy_scheme_spec("OR"), 5.0)
-        by_obj = runner.evaluate_scheme(runner.scheme(legacy_scheme_spec("OR")), 5.0)
+    def test_evaluate_accepts_spec_directly(self, runner):
+        pipeline = runner.pipeline(5.0)
+        traces = runner.scenario.evaluation_by_label()
+        by_spec, _ = runner.evaluate(legacy_scheme_spec("OR"), pipeline, traces)
+        by_obj, _ = runner.evaluate(
+            runner.scheme(legacy_scheme_spec("OR")), pipeline, traces
+        )
         np.testing.assert_array_equal(
             by_spec.confusion.matrix, by_obj.confusion.matrix
         )
 
     def test_stacked_scheme_evaluates_end_to_end(self, runner):
-        report = runner.evaluate_scheme("padding+or", 5.0)
+        traces = runner.scenario.evaluation_by_label()
+        report, costs = runner.evaluate("padding+or", runner.pipeline(5.0), traces)
         assert 0.0 <= report.mean_accuracy <= 100.0
+        assert len(costs) == sum(len(group) for group in traces.values())
+        assert all(
+            [stage.scheme for stage in stages] == ["padding", "or"]
+            for stages in costs
+        )
 
 
 class TestAdaptiveReshaperSchemes:
@@ -77,16 +87,7 @@ class TestAdaptiveReshaperSchemes:
             AdaptiveReshaper(object())
 
 
-class TestSchemeApplyMany:
-    def test_apply_many_is_elementwise(self, trace):
-        scheme = build_scheme("or")
-        results = scheme.apply_many([trace, trace])
-        assert len(results) == 2
-        for key in results[0].flows:
-            np.testing.assert_array_equal(
-                results[0].flows[key].times, results[1].flows[key].times
-            )
-
+class TestSchemeParams:
     def test_fh_channels_param_must_parse(self):
         with pytest.raises(ValueError, match="channels"):
             build_scheme(SchemeSpec("fh", (("channels", ""),)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import CONFIG_MESSAGE_BYTES
+from repro.schemes.base import CONFIG_MESSAGE_BYTES
 from repro.schemes import (
     SchemeSpec,
     SchemeStack,
