@@ -243,7 +243,9 @@ class AttackPipeline:
         featurize = flow_feature_matrix if cache is None else cache.feature_matrix
         return self.evaluate_matrices(
             {
-                label: [featurize(flow, self.window, self.min_packets) for flow in flows]
+                label: [
+                    featurize(flow, self.window, self.min_packets) for flow in flows
+                ]
                 for label, flows in flows_by_label.items()
             }
         )

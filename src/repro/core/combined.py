@@ -8,8 +8,8 @@ pretend browsing drives the mean accuracy under 28 %.
 
 The combined defense first reshapes a trace with any
 :class:`~repro.core.base.Reshaper` (through its
-:class:`~repro.schemes.base.ReshaperScheme` adapter), then applies a per-interface
-morphing map to selected observable flows.  Overhead comes only from
+:class:`~repro.schemes.base.ReshaperScheme` adapter), then applies a
+per-interface morphing map to selected observable flows.  Overhead comes only from
 the morphed interfaces, which carry a fraction of the traffic — hence
 "much less overhead than [full] traffic morphing".
 """

@@ -31,7 +31,7 @@ from repro.analysis.attack import AttackPipeline, AttackReport
 from repro.analysis.batch import WindowCache, fused_flow_matrices
 from repro.analysis.windows import window_key
 from repro.core.base import Reshaper
-from repro.defenses.base import DefendedTraffic, StageOverhead
+from repro.defenses.base import DefendedTraffic, Defense, StageOverhead
 from repro.experiments.scenarios import EvaluationScenario, build_schemes
 from repro.schemes import (
     DEFAULT_INTERFACES,
@@ -47,9 +47,11 @@ from repro.traffic.trace import Trace
 __all__ = ["ExperimentRunner", "defended_matrices"]
 
 #: What the evaluation entry points accept as "a scheme": a registry
-#: spec / composition, an already-built Scheme, a bare legacy
-#: Reshaper, or None for the undefended original.
-SchemeLike = "Scheme | Reshaper | SchemeSpec | Sequence[SchemeSpec] | str | None"
+#: spec / composition, an already-built Scheme, a bare Reshaper or
+#: Defense, or None for the undefended original.
+SchemeLike = (
+    "Scheme | Reshaper | Defense | SchemeSpec | Sequence[SchemeSpec] | str | None"
+)
 
 
 def _defended(scheme: Scheme, trace: Trace, cache: WindowCache) -> DefendedTraffic:
@@ -128,7 +130,9 @@ class ExperimentRunner:
     _built: dict[tuple[SchemeSpec, ...], Scheme] = field(
         default_factory=dict, repr=False
     )
-    _adapted: dict[Reshaper, Scheme] = field(default_factory=dict, repr=False)
+    _adapted: dict[Reshaper | Defense, Scheme] = field(
+        default_factory=dict, repr=False
+    )
     _cache: WindowCache = field(default_factory=WindowCache, repr=False)
 
     @property
