@@ -119,7 +119,7 @@ def test_fused_vs_materializing(save_table, save_profile, tmp_path_factory, benc
         # O(one flow) working set: gathered columns + per-direction
         # float views never exceed ~6 float64 columns of any one flow.
         largest_flow = max(
-            int(np.diff(scheme.fused_plan(t).flow_bounds).max(initial=0))
+            int(np.bincount(scheme.fused_plan(t).assignments).max(initial=0))
             for t in traces
         )
         high_water = profile.metrics.gauges["batch.bytes_materialized"]

@@ -12,6 +12,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
+    # scipy solves the morphing LP that the test suite checks the
+    # runtime's monotone coupling against; nothing in src/ imports it.
+    extras_require={"test": ["scipy", "pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -289,7 +289,7 @@ def fused_feature_matrices(
     elif 2 * plan.n_flows < np.iinfo(np.int32).max:
         key = plan.assignments.astype(np.int32) * 2 + (directions == up)
     else:
-        key = plan.assignments * 2 + (directions == up)
+        key = plan.assignments.astype(np.int64) * 2 + (directions == up)
     order = np.argsort(key, kind="stable")
     counts = np.bincount(key, minlength=2 * plan.n_flows)
     bounds = np.zeros(2 * plan.n_flows + 1, dtype=np.int64)

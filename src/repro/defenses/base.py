@@ -21,7 +21,6 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +146,19 @@ class ChainedSizeTransform:
         return sizes
 
 
+def _flow_index_dtype(n_flows: int) -> np.dtype:
+    """The narrowest unsigned dtype that numbers ``n_flows`` flows.
+
+    Reshaping splits a link over a handful of virtual interfaces, so
+    almost every plan fits one byte per packet; long pseudonym stacks
+    spill into two.
+    """
+    for dtype in (np.uint8, np.uint16):
+        if n_flows <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.uint32)
+
+
 @dataclass(frozen=True, eq=False)
 class FusedPlan:
     """A defense's observable flows as a vectorized plan over columns.
@@ -159,16 +171,16 @@ class FusedPlan:
     bit-identical (times/sizes/directions) to
     ``DefendedTraffic.observable_flows[f]``.
 
-    ``order``/``flow_bounds`` are the gather index: packets of flow
-    ``f`` are ``order[flow_bounds[f]:flow_bounds[f + 1]]`` in time
-    order.  Both are computed lazily (one stable ``argsort`` / one
-    ``bincount`` on first access) and cached — intermediate plans built
-    during stack composition are consumed assignments-only and never
-    pay for an index they don't use.
+    Plans are held for a whole run (``WindowCache`` keeps one per
+    scheme and trace), so the flow index is the only per-packet array a
+    plan owns, and it is stored in the narrowest width that holds it.
 
     Attributes:
-        assignments: int64 observable-flow index per packet, dense in
-            ``[0, n_flows)``.
+        assignments: observable-flow index per packet, dense in
+            ``[0, n_flows)``, in the narrowest unsigned dtype that holds
+            ``n_flows``: uint8 up to 256 flows, then uint16, then
+            uint32.  Only :meth:`from_assignments` picks the width;
+            every plan builder goes through it.
         n_flows: observable flow count (flows may be empty — the legacy
             path emits empty flows too, e.g. identity on an empty trace).
         size_transform: elementwise size rewrite, or ``None``.
@@ -199,33 +211,35 @@ class FusedPlan:
         :meth:`~repro.traffic.trace.Trace.split_by_iface` emits flows
         in, which is what keeps plan flow ``f`` aligned with the legacy
         path's flow ``f``.  Pass ``n_flows`` explicitly when ``raw`` is
-        already dense (and possibly includes empty flows).
+        already dense (and possibly includes empty flows).  Either way
+        the stored index is narrowed to :func:`_flow_index_dtype`.
         """
         raw = np.asarray(raw)
-        if n_flows is None:
-            if not len(raw):
-                assignments = np.zeros(0, dtype=np.int64)
-                n_flows = 0
-            elif (
-                np.issubdtype(raw.dtype, np.integer)
-                and int(raw.min()) >= 0
-                and int(raw.max()) < 1 << 22
-            ):
-                # Scheduler/epoch ids are small non-negative ints: an
-                # O(n) bincount rank replaces the sort behind np.unique
-                # while preserving its sorted-unique numbering exactly.
-                counts = np.bincount(raw)
-                occupied = np.flatnonzero(counts)
-                rank = np.zeros(len(counts), dtype=np.int64)
-                rank[occupied] = np.arange(len(occupied))
-                assignments = rank[raw]
-                n_flows = int(len(occupied))
-            else:
-                occupied, assignments = np.unique(raw, return_inverse=True)
-                n_flows = int(len(occupied))
-                assignments = assignments.astype(np.int64, copy=False).reshape(-1)
+        if n_flows is not None:
+            assignments = raw.astype(_flow_index_dtype(n_flows), copy=False)
+        elif not len(raw):
+            n_flows = 0
+            assignments = np.zeros(0, dtype=_flow_index_dtype(0))
+        elif (
+            np.issubdtype(raw.dtype, np.integer)
+            and int(raw.min()) >= 0
+            and int(raw.max()) < 1 << 22
+        ):
+            # Scheduler/epoch ids are small non-negative ints: an O(n)
+            # bincount rank replaces the sort behind np.unique while
+            # preserving its sorted-unique numbering exactly.  The rank
+            # table already has the narrow dtype, so the gather through
+            # it allocates one narrow array and nothing per packet.
+            counts = np.bincount(raw)
+            occupied = np.flatnonzero(counts)
+            n_flows = int(len(occupied))
+            rank = np.zeros(len(counts), dtype=_flow_index_dtype(n_flows))
+            rank[occupied] = np.arange(n_flows)
+            assignments = rank[raw]
         else:
-            assignments = raw.astype(np.int64, copy=False)
+            occupied, inverse = np.unique(raw, return_inverse=True)
+            n_flows = int(len(occupied))
+            assignments = inverse.reshape(-1).astype(_flow_index_dtype(n_flows))
         return cls(
             assignments=assignments,
             n_flows=n_flows,
@@ -234,29 +248,30 @@ class FusedPlan:
             stack=stack,
         )
 
+    @classmethod
+    def single_flow(
+        cls,
+        n_packets: int,
+        *,
+        size_transform: SizeTransform | None = None,
+        stages: tuple[FusedStage, ...] = (),
+    ) -> FusedPlan:
+        """A plan that keeps all ``n_packets`` packets in one flow.
+
+        The flow exists even when ``n_packets`` is 0, as in ``apply``.
+        """
+        return cls.from_assignments(
+            np.zeros(n_packets, dtype=_flow_index_dtype(1)),
+            n_flows=1,
+            size_transform=size_transform,
+            stages=stages,
+        )
+
     def with_stages(
         self, stages: tuple[FusedStage, ...], stack: bool = False
     ) -> FusedPlan:
         """The same plan with its accounting replaced."""
         return replace(self, stages=stages, stack=stack)
-
-    @cached_property
-    def flow_bounds(self) -> np.ndarray:
-        """``(n_flows + 1,)`` prefix offsets into :attr:`order`."""
-        counts = np.bincount(self.assignments, minlength=self.n_flows)
-        flow_bounds = np.zeros(self.n_flows + 1, dtype=np.int64)
-        np.cumsum(counts, out=flow_bounds[1:])
-        return flow_bounds
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Stable argsort of :attr:`assignments` (the flow gather index)."""
-        return np.argsort(self.assignments, kind="stable")
-
-    def flow_indices(self, flow: int) -> np.ndarray:
-        """Source-column indices of observable flow ``flow``, in time order."""
-        lo, hi = self.flow_bounds[flow], self.flow_bounds[flow + 1]
-        return self.order[lo:hi]
 
     @property
     def extra_bytes(self) -> int:
@@ -270,13 +285,8 @@ class FusedPlan:
 
     @property
     def plan_bytes(self) -> int:
-        """Bytes the plan's index arrays occupy once fully realized.
-
-        Counts ``assignments`` plus the lazily built ``order`` and
-        ``flow_bounds`` at their known shapes — a deterministic formula,
-        independent of which lazy indexes happen to be cached yet.
-        """
-        return 2 * self.assignments.nbytes + (self.n_flows + 1) * 8
+        """Bytes of per-packet index the plan holds (its ``assignments``)."""
+        return self.assignments.nbytes
 
 
 class Defense(abc.ABC):

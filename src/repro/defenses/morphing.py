@@ -1,19 +1,14 @@
 """Traffic morphing (Wright et al., NDSS 2009), as used in Sec. IV-D.
 
 Morphing rewrites each packet's size so that the flow's size
-distribution matches a *target application's* distribution.  Two
-implementations are provided:
-
-* :func:`monotone_coupling` — the comonotone (inverse-CDF) optimal
-  transport plan between source and target size distributions.  On the
-  real line with convex transport cost this coupling is the minimum-
-  cost plan, so it is the natural stand-in for Wright's
-  overhead-minimizing morphing matrix while scaling to byte-granular
-  alphabets.
-* :func:`morphing_matrix_lp` — the explicit linear-program morphing
-  matrix (minimize expected byte distance subject to producing the
-  target distribution), tractable for small alphabets and used in tests
-  to confirm the coupling's optimality.
+distribution matches a *target application's* distribution.  The
+coupling is :func:`monotone_coupling`: the comonotone (inverse-CDF)
+optimal transport plan between source and target size distributions.
+On the real line with convex transport cost this coupling is the
+minimum-cost plan, so it is the natural stand-in for Wright's
+overhead-minimizing morphing matrix while scaling to byte-granular
+alphabets.  (The test suite checks that optimality against the
+explicit linear program.)
 
 When the sampled target size is *smaller* than the packet, the packet
 is fragmented into ceil(size / target)-sized chunks, each carrying its
@@ -26,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.defenses.base import DefendedTraffic, Defense
 from repro.mac.frames import FRAME_HEADER_BYTES
@@ -36,7 +30,6 @@ from repro.util.rng import derive_rng
 
 __all__ = [
     "monotone_coupling",
-    "morphing_matrix_lp",
     "MorphingMatrix",
     "TrafficMorphing",
 ]
@@ -83,43 +76,6 @@ def monotone_coupling(
                 break
             remaining_q = q[j]
     return MorphingMatrix(source_support, target_support, plan)
-
-
-def morphing_matrix_lp(
-    p: np.ndarray,
-    q: np.ndarray,
-    source_support: np.ndarray,
-    target_support: np.ndarray,
-) -> np.ndarray:
-    """Solve Wright et al.'s morphing LP exactly.
-
-    minimize Σᵢⱼ |tⱼ − sᵢ| πᵢⱼ  subject to  Σⱼ πᵢⱼ = pᵢ, Σᵢ πᵢⱼ = qⱼ.
-
-    Returns the joint plan π with shape (len(source), len(target)).
-    Intended for small alphabets (the LP has |S|·|T| variables).
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    source_support = np.asarray(source_support, dtype=float)
-    target_support = np.asarray(target_support, dtype=float)
-    n_s, n_t = len(source_support), len(target_support)
-    if p.shape != (n_s,) or q.shape != (n_t,):
-        raise ValueError("distribution shapes do not match supports")
-    if not (np.isclose(p.sum(), 1.0) and np.isclose(q.sum(), 1.0)):
-        raise ValueError("p and q must be probability vectors")
-
-    cost = np.abs(target_support[None, :] - source_support[:, None]).ravel()
-    # Row-sum constraints then column-sum constraints.
-    a_eq = np.zeros((n_s + n_t, n_s * n_t))
-    for i in range(n_s):
-        a_eq[i, i * n_t : (i + 1) * n_t] = 1.0
-    for j in range(n_t):
-        a_eq[n_s + j, j::n_t] = 1.0
-    b_eq = np.concatenate([p, q])
-    result = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not result.success:
-        raise RuntimeError(f"morphing LP failed: {result.message}")
-    return result.x.reshape(n_s, n_t)
 
 
 @dataclass(frozen=True)

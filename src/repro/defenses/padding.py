@@ -113,9 +113,8 @@ class PacketPadding(Defense):
             extra = int(
                 np.where(np.asarray(directions) == direction, deficit, 0).sum()
             )
-        return FusedPlan.from_assignments(
-            np.zeros(len(sizes), dtype=np.int64),
-            n_flows=1,
+        return FusedPlan.single_flow(
+            len(sizes),
             size_transform=transform,
             stages=(FusedStage(self.name, 1, (1,), extra, 0),),
         )

@@ -57,14 +57,8 @@ class PseudonymDefense(Defense):
         label: str | None,
     ) -> FusedPlan:
         """Epoch partitioning as a plan (same arithmetic as ``apply``)."""
-        if len(times) == 0:
-            # apply() emits zero flows for an empty trace.
-            return FusedPlan.from_assignments(
-                np.zeros(0, dtype=np.int64),
-                n_flows=0,
-                stages=(FusedStage(self.name, 1, (0,), 0, 0),),
-            )
-        start = float(times[0])
+        # An empty trace plans zero flows, as apply() emits none.
+        start = float(times[0]) if len(times) else 0.0
         epoch_index = np.floor((times - start) / self.epoch).astype(np.int16)
         plan = FusedPlan.from_assignments(epoch_index)
         return plan.with_stages(

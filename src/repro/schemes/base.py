@@ -206,11 +206,8 @@ class IdentityScheme(Scheme):
         directions: np.ndarray,
         label: str | None,
     ) -> FusedPlan:
-        # apply() always emits one flow — the trace itself — even empty.
-        return FusedPlan.from_assignments(
-            np.zeros(len(times), dtype=np.int64),
-            n_flows=1,
-            stages=(FusedStage(self.name, 1, (1,), 0, 0),),
+        return FusedPlan.single_flow(
+            len(times), stages=(FusedStage(self.name, 1, (1,), 0, 0),)
         )
 
 
@@ -431,10 +428,16 @@ class SchemeStack(Scheme):
                 )
                 if sub is None or sub.stack:
                     return None
+                # Offsets are added in int64: a narrow sub-plan index
+                # plus a Python int stays narrow and wraps (uint8 200 +
+                # 100 is 44) even when written into an int64 array.
                 if mask is None:
-                    np.add(sub.assignments, offset, out=new_assignments)
+                    np.add(sub.assignments, offset, out=new_assignments,
+                           dtype=np.int64)
                 else:
-                    new_assignments[mask] = sub.assignments + offset
+                    new_assignments[mask] = np.add(
+                        sub.assignments, offset, dtype=np.int64
+                    )
                 offset += sub.n_flows
                 applies += 1
                 fanouts.append(sub.n_flows)

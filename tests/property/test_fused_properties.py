@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.plan_index import flow_indices
 from repro.analysis.batch import flow_feature_matrix, fused_flow_matrices
 from repro.schemes import build_stack
 from repro.storage.shards import ShardSet, ShardSetWriter
@@ -112,13 +113,13 @@ class TestFusedParity:
         scheme = build_stack("ra+fh", seed=9)
         plan = scheme.fused_plan(trace)
         gathered = np.concatenate(
-            [plan.flow_indices(f) for f in range(plan.n_flows)]
+            [flow_indices(plan, f) for f in range(plan.n_flows)]
         ) if plan.n_flows else np.empty(0, dtype=np.int64)
         assert len(gathered) == len(trace)
         assert np.array_equal(np.sort(gathered), np.arange(len(trace)))
         # Within a flow the gather preserves time order.
         for f in range(plan.n_flows):
-            indices = plan.flow_indices(f)
+            indices = flow_indices(plan, f)
             assert np.all(np.diff(indices) > 0) or len(indices) <= 1
 
 

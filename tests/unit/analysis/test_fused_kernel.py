@@ -13,6 +13,7 @@ still equals the concatenate-of-parts construction.
 import numpy as np
 import pytest
 
+from oracles.plan_index import flow_bounds
 from repro import obs
 from repro.analysis.batch import (
     WindowCache,
@@ -74,7 +75,7 @@ class TestFusedKernel:
         # A flow's gather holds its times/sizes/directions plus the two
         # per-direction float64 size/time views: comfortably under
         # 6 × 8 bytes per packet of the *largest flow*.
-        counts = np.diff(plan.flow_bounds)
+        counts = np.diff(flow_bounds(plan))
         assert high_water <= int(counts.max()) * 6 * 8
         # And far below materializing the whole trace's flows at once.
         assert high_water < len(trace) * 3 * 8

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.defenses.morphing import (
-    TrafficMorphing,
-    monotone_coupling,
-    morphing_matrix_lp,
-)
+from oracles.morphing_lp import morphing_matrix_lp
+from repro.defenses.morphing import TrafficMorphing, monotone_coupling
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.packet import DOWNLINK

@@ -11,9 +11,12 @@ bit-identity tests across serial/parallel runs lean on that).
 import numpy as np
 import pytest
 
+from oracles.plan_index import flow_indices
 from repro import obs
 from repro.defenses import FusedPlan, FusedStage, PacketPadding
-from repro.schemes import SchemeStack, as_scheme, build_stack
+from repro.analysis.batch import flow_feature_matrix
+from repro.experiments.runner import defended_matrices
+from repro.schemes import SchemeSpec, SchemeStack, as_scheme, build_stack
 from repro.traffic.trace import Trace
 
 FUSABLE = ("original", "fh", "ra", "rr", "or", "modulo", "padding", "pseudonym")
@@ -36,7 +39,7 @@ def assert_plan_matches_apply(scheme, trace):
     assert plan is not None
     assert plan.n_flows == len(flows)
     for f, flow in enumerate(flows):
-        indices = plan.flow_indices(f)
+        indices = flow_indices(plan, f)
         sizes = trace.sizes[indices]
         directions = trace.directions[indices]
         if plan.size_transform is not None:
@@ -135,16 +138,16 @@ class TestFusedPlanMechanics:
         plan = FusedPlan.from_assignments(np.array([5, 2, 5, 9, 2]))
         assert plan.n_flows == 3
         np.testing.assert_array_equal(plan.assignments, [1, 0, 1, 2, 0])
-        np.testing.assert_array_equal(plan.flow_indices(0), [1, 4])
-        np.testing.assert_array_equal(plan.flow_indices(1), [0, 2])
-        np.testing.assert_array_equal(plan.flow_indices(2), [3])
+        np.testing.assert_array_equal(flow_indices(plan, 0), [1, 4])
+        np.testing.assert_array_equal(flow_indices(plan, 1), [0, 2])
+        np.testing.assert_array_equal(flow_indices(plan, 2), [3])
 
     def test_explicit_n_flows_keeps_empty_slots(self):
         plan = FusedPlan.from_assignments(
             np.array([0, 2, 0], dtype=np.int64), n_flows=4
         )
         assert plan.n_flows == 4
-        assert [len(plan.flow_indices(f)) for f in range(4)] == [2, 0, 1, 0]
+        assert [len(flow_indices(plan, f)) for f in range(4)] == [2, 0, 1, 0]
 
     def test_accounting_properties_sum_stages(self):
         plan = FusedPlan.from_assignments(
@@ -157,3 +160,65 @@ class TestFusedPlanMechanics:
         )
         assert plan.extra_bytes == 100
         assert plan.handshake_bytes == 392
+
+    @pytest.mark.parametrize(
+        ("n_flows", "dtype"),
+        [(0, np.uint8), (1, np.uint8), (256, np.uint8), (257, np.uint16),
+         (65536, np.uint16), (65537, np.uint32)],
+    )
+    def test_flow_index_is_the_narrowest_unsigned_width(self, n_flows, dtype):
+        dense = FusedPlan.from_assignments(np.arange(n_flows), n_flows=n_flows)
+        ranked = FusedPlan.from_assignments(np.arange(n_flows) * 3)
+        for plan in (dense, ranked):
+            assert plan.n_flows == n_flows
+            assert plan.assignments.dtype == dtype
+            np.testing.assert_array_equal(plan.assignments, np.arange(n_flows))
+            assert plan.plan_bytes == plan.assignments.nbytes
+
+    def test_unique_fallback_narrows_too(self):
+        plan = FusedPlan.from_assignments(np.array([-4, 1 << 40, -4, 7]))
+        assert plan.assignments.dtype == np.uint8
+        np.testing.assert_array_equal(plan.assignments, [0, 2, 0, 1])
+
+    @pytest.mark.parametrize("packets", [0, 800])
+    @pytest.mark.parametrize(
+        "name", ["original", "padding", "pseudonym", "or", "padding+or"]
+    )
+    def test_catalog_plans_hold_one_byte_per_packet(self, name, packets):
+        plan = build_stack(name, seed=7).fused_plan(make_trace(n=packets))
+        assert plan.assignments.dtype == np.uint8
+        assert plan.plan_bytes == packets
+
+
+class TestWideStacks:
+    """Stacks whose flow count outgrows one byte (pseudonym epochs x OR)."""
+
+    def _scheme_and_trace(self):
+        scheme = build_stack(
+            (SchemeSpec("pseudonym", (("epoch", 1.0),)), SchemeSpec("or")), seed=7
+        )
+        rng = np.random.default_rng(3)
+        n = 4000
+        trace = Trace.from_arrays(
+            np.sort(rng.uniform(0.0, 320.0, n)),
+            rng.integers(1, 1577, n),
+            directions=rng.choice([0, 1], n),
+            label="browsing",
+        )
+        return scheme, trace
+
+    def test_every_flow_matches_apply(self):
+        scheme, trace = self._scheme_and_trace()
+        plan = assert_plan_matches_apply(scheme, trace)
+        assert plan.n_flows > 256
+        assert plan.assignments.dtype == np.uint16
+
+    def test_defended_matrices_match_the_apply_path(self):
+        scheme, trace = self._scheme_and_trace()
+        matrices, stages = defended_matrices(scheme, trace, window=5.0)
+        defended = scheme.apply(trace)
+        flows = defended.observable_flows
+        assert len(matrices) == len(flows) > 256
+        for matrix, flow in zip(matrices, flows):
+            np.testing.assert_array_equal(matrix, flow_feature_matrix(flow, 5.0, 2))
+        assert stages == defended.stages
