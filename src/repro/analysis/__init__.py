@@ -15,7 +15,6 @@ from repro.analysis.batch import (
     WindowCache,
     augment_direction_dropout,
     flow_feature_matrix,
-    flows_feature_matrix,
 )
 from repro.analysis.privacy import (
     attribution_entropy_bits,
@@ -74,7 +73,6 @@ __all__ = [
     "false_positive_rates",
     "features_from_windows",
     "flow_feature_matrix",
-    "flows_feature_matrix",
     "linking_accuracy",
     "mean_accuracy",
     "sliding_windows",

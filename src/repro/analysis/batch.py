@@ -39,7 +39,7 @@ grid and multi-window sweeps share windowing work.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "WindowCache",
     "augment_direction_dropout",
     "flow_feature_matrix",
-    "flows_feature_matrix",
     "fused_feature_matrices",
     "fused_flow_matrices",
 ]
@@ -146,62 +145,44 @@ def flow_feature_matrix(
     require(min_packets >= 1, "min_packets must be >= 1")
     if len(trace) == 0:
         return np.empty((0, _N_FEATURES), dtype=np.float64)
-    window = float(window)
-    edges = window_edges(trace.times, window)
-    totals = np.diff(np.searchsorted(trace.times, edges))
+    matrix, _ = _one_flow_matrix(
+        trace.times, trace.sizes, trace.directions, float(window), min_packets
+    )
+    return matrix
+
+
+def _one_flow_matrix(
+    times: np.ndarray,
+    sizes: np.ndarray,
+    directions: np.ndarray,
+    window: float,
+    min_packets: int,
+) -> tuple[np.ndarray, int]:
+    """Feature matrix of one non-empty flow, straight off its columns.
+
+    The shared body of :func:`flow_feature_matrix` and the one-flow
+    case of :func:`fused_feature_matrices`.  Returns the matrix and the
+    bytes of the per-direction copies it gathered.
+    """
+    edges = window_edges(times, window)
+    totals = np.diff(np.searchsorted(times, edges))
     idle_cutoff = min(DEFAULT_IDLE_CUTOFF, window)
     matrix = np.empty((len(edges) - 1, _N_FEATURES), dtype=np.float64)
+    gathered = 0
     for column, direction in ((0, DOWNLINK), (6, UPLINK)):
-        mask = trace.directions == int(direction)
+        mask = directions == int(direction)
         # Slice per direction *before* the float conversion: converting
-        # the masked int64 slice touches only that direction's packets
-        # (the old full-trace astype copied every size twice per call).
+        # the masked int64 slice touches only that direction's packets.
         # int64 → float64 is exact per element, so the values — and the
         # resulting features — are bit-identical either way.
+        dtimes = times[mask]
+        dsizes = sizes[mask].astype(np.float64)
+        gathered += dtimes.nbytes + dsizes.nbytes
         _direction_block(
-            trace.times[mask],
-            trace.sizes[mask].astype(np.float64),
-            edges,
-            window,
-            idle_cutoff,
+            dtimes, dsizes, edges, window, idle_cutoff,
             matrix[:, column : column + 6],
         )
-    return matrix[totals >= min_packets]
-
-
-def flows_feature_matrix(
-    flows: Sequence[Trace],
-    window: float,
-    min_packets: int = 2,
-) -> np.ndarray:
-    """Feature matrices of several flows, concatenated in flow order.
-
-    The output is preallocated from per-flow surviving-window counts (a
-    cheap grid-only pass) and each flow's matrix is written into its
-    slice, so peak memory is one flow's matrix plus the result — the
-    old list-append + ``np.concatenate`` held every per-flow matrix and
-    the concatenated copy simultaneously.  Row values and order are
-    unchanged.
-    """
-    require_positive(window, "window")
-    require(min_packets >= 1, "min_packets must be >= 1")
-    window = float(window)
-    rows_of: list[int] = []
-    for flow in flows:
-        if len(flow) == 0:
-            rows_of.append(0)
-            continue
-        edges = window_edges(flow.times, window)
-        totals = np.diff(np.searchsorted(flow.times, edges))
-        rows_of.append(int(np.count_nonzero(totals >= min_packets)))
-    out = np.empty((sum(rows_of), _N_FEATURES), dtype=np.float64)
-    row = 0
-    for flow, rows in zip(flows, rows_of):
-        if rows == 0:
-            continue
-        out[row : row + rows] = flow_feature_matrix(flow, window, min_packets)
-        row += rows
-    return out
+    return matrix[totals >= min_packets], gathered
 
 
 def fused_feature_matrices(
@@ -255,21 +236,11 @@ def fused_feature_matrices(
         if transform is not None:
             fsizes = transform(fsizes, directions)
             materialized += fsizes.nbytes
-        edges = window_edges(times, window)
-        totals = np.diff(np.searchsorted(times, edges))
-        matrix = np.empty((len(edges) - 1, _N_FEATURES), dtype=np.float64)
-        for column, direction in ((0, DOWNLINK), (6, UPLINK)):
-            mask = directions == int(direction)
-            dtimes = times[mask]
-            dsizes = fsizes[mask].astype(np.float64)
-            materialized += dtimes.nbytes + dsizes.nbytes
-            _direction_block(
-                dtimes, dsizes, edges, window, idle_cutoff,
-                matrix[:, column : column + 6],
-            )
-        kept = matrix[totals >= min_packets]
+        kept, gathered = _one_flow_matrix(
+            times, fsizes, directions, window, min_packets
+        )
         obs.add("batch.fused_windows", len(kept))
-        obs.gauge("batch.bytes_materialized", materialized)
+        obs.gauge("batch.bytes_materialized", materialized + gathered)
         return [kept]
 
     # Multi-flow: one stable radix sort by (flow, direction) makes every
@@ -393,7 +364,7 @@ class WindowCache:
     * ``defended_flows`` — the materialized :class:`DefendedTraffic` of
       a non-fusable scheme, keyed like plans.  A window sweep applies
       each scheme to each trace once instead of once per window.  Safe
-      because ``Scheme.apply`` resets scheme state, making it
+      because ``Scheme.apply`` reads no online state, making it
       deterministic in (scheme, trace).
     * ``feature_matrix`` — per-flow feature matrices of materialized
       flows, keyed by flow identity, window and ``min_packets``.

@@ -19,7 +19,7 @@ distribution approaches a per-interface target distribution φⁱ
 """
 
 from repro.core.adaptive import QuantileBoundaryReshaper, quantile_boundaries
-from repro.core.base import Reshaper, StatelessReshaper
+from repro.core.base import Reshaper
 from repro.core.schedulers import (
     FrequencyHoppingScheduler,
     ModuloReshaper,
@@ -59,7 +59,6 @@ __all__ = [
     "Reshaper",
     "ReshapingObjective",
     "RoundRobinReshaper",
-    "StatelessReshaper",
     "TargetDistribution",
     "TargetDrivenReshaper",
     "interface_distributions",

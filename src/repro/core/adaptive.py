@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import Reshaper
 from repro.core.schedulers import OrthogonalReshaper
-from repro.core.targets import orthogonal_targets
 from repro.traffic.sizes import MAX_PACKET_SIZE
 from repro.traffic.trace import Trace
 from repro.util.validation import require
@@ -49,7 +47,7 @@ def quantile_boundaries(sizes: np.ndarray, interfaces: int) -> tuple[int, ...]:
     return tuple(boundaries)
 
 
-class QuantileBoundaryReshaper(Reshaper):
+class QuantileBoundaryReshaper(OrthogonalReshaper):
     """OR whose range boundaries are fit to the user's own traffic.
 
     >>> import numpy as np
@@ -61,37 +59,11 @@ class QuantileBoundaryReshaper(Reshaper):
     3
     """
 
-    def __init__(self, boundaries: tuple[int, ...]):
-        self._inner = OrthogonalReshaper(orthogonal_targets(boundaries))
-
     @classmethod
     def fit(cls, calibration: Trace, interfaces: int = 3) -> "QuantileBoundaryReshaper":
         """Fit boundaries from a calibration trace."""
-        return cls(quantile_boundaries(calibration.sizes, interfaces))
-
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        """The fitted range boundaries."""
-        return self._inner.boundaries
-
-    @property
-    def interfaces(self) -> int:
-        return self._inner.interfaces
+        return cls.from_boundaries(quantile_boundaries(calibration.sizes, interfaces))
 
     def refit(self, calibration: Trace) -> "QuantileBoundaryReshaper":
         """Return a new reshaper re-fit to fresher traffic (dynamic tuning)."""
-        return QuantileBoundaryReshaper.fit(calibration, self.interfaces)
-
-    def assign_packet(self, time: float, size: int, direction: int) -> int:
-        return self._inner.assign_packet(time, size, direction)
-
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        return self._inner.assign_trace(trace)
-
-    def assign_columns(
-        self,
-        times: np.ndarray,
-        sizes: np.ndarray,
-        directions: np.ndarray,
-    ) -> np.ndarray:
-        return self._inner.assign_columns(times, sizes, directions)
+        return type(self).fit(calibration, self.interfaces)

@@ -1,17 +1,24 @@
 """Reshaper interface.
 
 A reshaper realizes the scheduling function of Sec. III-C-1:
-``F(s_k) = i, i in [1, I]`` (0-based here).  Two operating modes are
-supported:
+``F(s_k) = i, i in [1, I]`` (0-based here).  It has exactly two
+operating modes, one entry point each:
 
 * **online** — :meth:`Reshaper.assign_packet` is called per packet by
-  the client driver / AP data plane inside the discrete-event simulator;
-* **batch** — :meth:`Reshaper.assign_trace` maps a whole trace at once
-  (vectorized), which is how the trace-driven evaluation pipeline runs.
+  the client driver / AP data plane inside the discrete-event simulator
+  and by the streaming replay.  It is stateful: round-robin counters,
+  the random stream and the greedy scheduler's per-interface counts
+  carry over from one call to the next until :meth:`Reshaper.reset`.
+* **batch** — :meth:`Reshaper.assign_columns` maps a whole trace's
+  columns at once, as a **freshly reset** scheduler would, without
+  reading or advancing the instance's online state.  It is what every
+  evaluation path runs (:meth:`Reshaper.reshape`, the scheme adapter's
+  ``apply`` and its fused plan), so batch results are pure in
+  ``(reshaper, columns)``.
 
-Subclasses must keep the two modes consistent: ``assign_trace`` must
-produce the same assignment a per-packet replay would (this is asserted
-by property tests).
+The two modes must agree: ``assign_columns`` returns exactly what a
+per-packet ``assign_packet`` replay on a fresh instance would (asserted
+for every scheduler by the unit and property tests).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from repro.traffic.trace import Trace
 
-__all__ = ["Reshaper", "StatelessReshaper"]
+__all__ = ["Reshaper"]
 
 
 class Reshaper(abc.ABC):
@@ -37,50 +44,26 @@ class Reshaper(abc.ABC):
     def assign_packet(self, time: float, size: int, direction: int) -> int:
         """Online mode: return the interface index for one packet."""
 
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        """Batch mode: return an int16 interface index per packet.
-
-        The default implementation replays packets through
-        :meth:`assign_packet`; vectorizable subclasses override it.
-        """
-        out = np.empty(len(trace), dtype=np.int16)
-        for index in range(len(trace)):
-            out[index] = self.assign_packet(
-                time=float(trace.times[index]),
-                size=int(trace.sizes[index]),
-                direction=int(trace.directions[index]),
-            )
-        return out
-
+    @abc.abstractmethod
     def assign_columns(
         self,
         times: np.ndarray,
         sizes: np.ndarray,
         directions: np.ndarray,
-    ) -> np.ndarray | None:
-        """Reset-semantics assignment straight off the source columns.
+    ) -> np.ndarray:
+        """Batch mode: an int16 interface index per packet, reset semantics.
 
-        The fused evaluation path's entry point: where
-        :meth:`assign_trace` consumes (and advances) online state, this
-        returns what a **freshly reset** scheduler's ``assign_trace``
-        would — bit-identical — without requiring a :class:`Trace` at
-        all, so it works on ``TraceStore`` memmap column slices as-is.
-        Returns ``None`` when the scheduler's recurrence cannot be
-        expressed in closed form from the columns (the default); the
-        pipeline then falls back to materializing.
+        Returns what a freshly reset scheduler's per-packet
+        :meth:`assign_packet` replay would, bit for bit, and leaves the
+        instance's online state untouched.  Needs no :class:`Trace`, so
+        it runs on ``TraceStore`` memmap column slices as-is.
         """
-        return None
 
     def reset(self) -> None:
         """Clear any online state (per-direction counters etc.)."""
 
     def reshape(self, trace: Trace) -> Trace:
-        """Return ``trace`` with per-packet interface assignments applied."""
-        return trace.with_ifaces(self.assign_trace(trace))
-
-
-class StatelessReshaper(Reshaper):
-    """Base for reshapers whose decision depends only on the packet itself."""
-
-    def reset(self) -> None:  # nothing to clear
-        return
+        """Return ``trace`` with batch interface assignments applied."""
+        return trace.with_ifaces(
+            self.assign_columns(trace.times, trace.sizes, trace.directions)
+        )

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.base import Reshaper
 from repro.core.targets import TargetDistribution
-from repro.traffic.trace import Trace
 
 __all__ = ["TargetDrivenReshaper"]
 
@@ -51,29 +50,31 @@ class TargetDrivenReshaper(Reshaper):
     def reset(self) -> None:
         self._counts[:] = 0
 
-    def _current_deviation(self, iface: int) -> float:
-        counts = self._counts[iface].astype(float)
-        total = counts.sum()
+    def _current_deviation(self, counts: np.ndarray, iface: int) -> float:
+        row = counts[iface].astype(float)
+        total = row.sum()
         if total == 0:
             # An idle interface contributes the full ‖φⁱ‖ to the
             # objective (its empirical row is all-zero), so sending it a
             # matching packet earns a large reduction — this is what
             # spreads load across interfaces.
             return float(np.linalg.norm(self._targets.matrix[iface]))
-        return float(np.linalg.norm(self._targets.matrix[iface] - counts / total))
+        return float(np.linalg.norm(self._targets.matrix[iface] - row / total))
 
-    def _deviation_if_assigned(self, iface: int, range_index: int) -> float:
-        counts = self._counts[iface].astype(float).copy()
-        counts[range_index] += 1
-        p = counts / counts.sum()
+    def _deviation_if_assigned(
+        self, counts: np.ndarray, iface: int, range_index: int
+    ) -> float:
+        row = counts[iface].astype(float)
+        row[range_index] += 1
+        p = row / row.sum()
         return float(np.linalg.norm(self._targets.matrix[iface] - p))
 
     def assign_packet(self, time: float, size: int, direction: int) -> int:
         range_index = int(self._targets.range_of(np.asarray([size]))[0])
         best_iface, best_key = 0, None
         for iface in range(self.interfaces):
-            delta = self._deviation_if_assigned(iface, range_index) - (
-                self._current_deviation(iface)
+            delta = self._deviation_if_assigned(self._counts, iface, range_index) - (
+                self._current_deviation(self._counts, iface)
             )
             load = int(self._counts[iface].sum())
             key = (delta, load)
@@ -81,6 +82,44 @@ class TargetDrivenReshaper(Reshaper):
                 best_iface, best_key = iface, key
         self._counts[best_iface, range_index] += 1
         return best_iface
+
+    def assign_columns(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        directions: np.ndarray,
+    ) -> np.ndarray:
+        # The greedy recurrence is inherently sequential (each decision
+        # feeds the next), so it runs on a local zeroed counts table —
+        # the online state is never read or advanced.  The per-packet
+        # work need not rescan every interface's history: only the
+        # winner's deviation and load change, and its new deviation is
+        # exactly the candidate value already computed when scoring it
+        # (`_deviation_if_assigned` evaluates the same float expression
+        # `_current_deviation` would after the increment), so caching
+        # both is bit-identical to the recompute-everything loop of
+        # `assign_packet`.
+        counts = np.zeros_like(self._counts)
+        range_indices = self._targets.range_of(np.asarray(sizes))
+        out = np.empty(len(range_indices), dtype=np.int16)
+        current = [
+            self._current_deviation(counts, iface) for iface in range(self.interfaces)
+        ]
+        loads = [0] * self.interfaces
+        for position, range_index in enumerate(range_indices):
+            best_iface, best_key, best_deviation = 0, None, 0.0
+            for iface in range(self.interfaces):
+                candidate = self._deviation_if_assigned(
+                    counts, iface, int(range_index)
+                )
+                key = (candidate - current[iface], loads[iface])
+                if best_key is None or key < best_key:
+                    best_iface, best_key, best_deviation = iface, key, candidate
+            counts[best_iface, range_index] += 1
+            current[best_iface] = best_deviation
+            loads[best_iface] += 1
+            out[position] = best_iface
+        return out
 
     def achieved_distributions(self) -> np.ndarray:
         """Empirical pⁱⱼ accumulated so far (zero rows for idle interfaces)."""
@@ -94,29 +133,3 @@ class TargetDrivenReshaper(Reshaper):
         """Current Eq. 1 objective over the packets seen so far."""
         p = self.achieved_distributions()
         return float(np.sqrt(((self._targets.matrix - p) ** 2).sum(axis=1)).sum())
-
-    def assign_trace(self, trace: Trace) -> np.ndarray:
-        # The greedy recurrence is inherently sequential (each decision
-        # feeds the next), but the per-packet work need not rescan every
-        # interface's history: only the winner's deviation and load
-        # change, and its new deviation is exactly the candidate value
-        # already computed when scoring it (`_deviation_if_assigned`
-        # evaluates the same float expression `_current_deviation` would
-        # after the increment), so caching both is bit-identical to the
-        # recompute-everything loop the per-packet oracle runs.
-        range_indices = self._targets.range_of(trace.sizes)
-        out = np.empty(len(trace), dtype=np.int16)
-        current = [self._current_deviation(iface) for iface in range(self.interfaces)]
-        loads = [int(self._counts[iface].sum()) for iface in range(self.interfaces)]
-        for position, range_index in enumerate(range_indices):
-            best_iface, best_key, best_deviation = 0, None, 0.0
-            for iface in range(self.interfaces):
-                candidate = self._deviation_if_assigned(iface, int(range_index))
-                key = (candidate - current[iface], loads[iface])
-                if best_key is None or key < best_key:
-                    best_iface, best_key, best_deviation = iface, key, candidate
-            self._counts[best_iface, range_index] += 1
-            current[best_iface] = best_deviation
-            loads[best_iface] += 1
-            out[position] = best_iface
-        return out

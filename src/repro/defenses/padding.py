@@ -45,10 +45,10 @@ def data_direction_of(app: AppType | str | None) -> Direction:
 class PadSizes:
     """Elementwise size transform of :class:`PacketPadding` (fused form).
 
-    ``direction`` is the padded direction, or ``None`` for both; the
-    arithmetic mirrors ``PacketPadding.apply`` exactly (same
-    ``np.where``/``np.maximum`` expressions on int64), so fused sizes
-    are bit-identical to the materialized defended trace's.
+    ``direction`` is the padded direction, or ``None`` for both.
+    ``PacketPadding.apply`` rewrites its sizes with this same transform,
+    so fused sizes are the materialized defended trace's by
+    construction.
     """
 
     pad_to: int
@@ -81,16 +81,15 @@ class PacketPadding(Defense):
 
     def apply(self, trace: Trace) -> DefendedTraffic:
         """Pad the data direction (or both) of ``trace`` to ``pad_to`` bytes."""
-        sizes = trace.sizes.copy()
-        if self.pad_both_directions:
-            mask = np.ones(len(trace), dtype=bool)
-        else:
-            direction = data_direction_of(trace.label)
-            mask = trace.directions == int(direction)
-        padded = np.where(mask, np.maximum(sizes, self.pad_to), sizes)
-        defended = trace.with_sizes(padded)
-        extra = int(padded.sum() - sizes.sum())
-        return DefendedTraffic(original=trace, flows={0: defended}, extra_bytes=extra)
+        plan = self.fused_plan_columns(
+            trace.times, trace.sizes, trace.directions, trace.label
+        )
+        padded = plan.size_transform(trace.sizes, trace.directions)
+        return DefendedTraffic(
+            original=trace,
+            flows={0: trace.with_sizes(padded)},
+            extra_bytes=plan.extra_bytes,
+        )
 
     def fused_plan_columns(
         self,

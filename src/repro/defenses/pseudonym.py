@@ -20,6 +20,9 @@ from repro.util.validation import require_positive
 
 __all__ = ["PseudonymDefense"]
 
+#: Epoch ids are int16 interface labels: 0 .. 32767.
+_MAX_EPOCHS = int(np.iinfo(np.int16).max) + 1
+
 
 class PseudonymDefense(Defense):
     """Split a trace into per-pseudonym epochs.
@@ -36,13 +39,29 @@ class PseudonymDefense(Defense):
         require_positive(epoch, "epoch")
         self.epoch = float(epoch)
 
+    def _epoch_ids(self, times: np.ndarray) -> np.ndarray:
+        """The pseudonym epoch of each packet, counted from the first one.
+
+        The ids become the flows' ``ifaces`` column (int16), so a trace
+        spanning more epochs than int16 can number is refused rather
+        than wrapped into negative ids that merge distinct epochs.
+        """
+        if not len(times):
+            return np.zeros(0, dtype=np.int16)
+        epochs = np.floor((times - float(times[0])) / self.epoch)
+        count = int(epochs.max()) + 1
+        if count > _MAX_EPOCHS:
+            raise ValueError(
+                f"pseudonym epoch={self.epoch:g}s splits the trace into "
+                f"{count} epochs, but epoch ids are stored in the int16 "
+                f"ifaces column, which numbers at most {_MAX_EPOCHS}; "
+                "use a longer epoch"
+            )
+        return epochs.astype(np.int16)
+
     def apply(self, trace: Trace) -> DefendedTraffic:
         """Assign each packet to the pseudonym active at its timestamp."""
-        if len(trace) == 0:
-            return DefendedTraffic(original=trace, flows={}, extra_bytes=0)
-        start = float(trace.times[0])
-        epoch_index = np.floor((trace.times - start) / self.epoch).astype(np.int16)
-        relabeled = trace.with_ifaces(epoch_index)
+        relabeled = trace.with_ifaces(self._epoch_ids(trace.times))
         return DefendedTraffic(
             original=trace,
             flows=relabeled.split_by_iface(),
@@ -56,11 +75,9 @@ class PseudonymDefense(Defense):
         directions: np.ndarray,
         label: str | None,
     ) -> FusedPlan:
-        """Epoch partitioning as a plan (same arithmetic as ``apply``)."""
+        """Epoch partitioning as a plan (the ids ``apply`` splits by)."""
         # An empty trace plans zero flows, as apply() emits none.
-        start = float(times[0]) if len(times) else 0.0
-        epoch_index = np.floor((times - start) / self.epoch).astype(np.int16)
-        plan = FusedPlan.from_assignments(epoch_index)
+        plan = FusedPlan.from_assignments(self._epoch_ids(np.asarray(times)))
         return plan.with_stages(
             (FusedStage(self.name, 1, (plan.n_flows,), 0, 0),)
         )

@@ -3,7 +3,7 @@
 The paper's defenses come in two shapes —
 :class:`~repro.core.base.Reshaper` for the scheduling schemes and
 :class:`~repro.defenses.base.Defense` for the byte-level baselines.  A
-:class:`Scheme` subsumes both: a named, resettable transform
+:class:`Scheme` subsumes both: a named, pure transform
 ``apply(trace) -> DefendedTraffic`` whose output carries its own
 overhead/handshake accounting, and which may also describe itself as a
 :class:`~repro.defenses.base.FusedPlan` (:meth:`Scheme.fused_plan`).
@@ -23,9 +23,10 @@ Composition semantics:
 * ``extra_bytes`` / ``handshake_bytes`` are **additive** across stages:
   the stack's totals are the per-stage sums, and every stage's own
   contribution is preserved in ``DefendedTraffic.stages``.
-* Determinism: ``apply`` resets scheme state first, so a stack is a
-  pure function of ``(stack construction, trace)`` — the property the
-  flow cache and the parallel executor both rely on.
+* Determinism: ``apply`` reads no online state (reshapers assign in
+  batch with reset semantics), so a stack is a pure function of
+  ``(stack construction, trace)`` — the property the flow cache and the
+  parallel executor both rely on.
 * RNG hygiene: stages inside a stack are built with per-stage seeds
   derived from ``derive_seed(seed, "scheme-stack", position, name)``
   (see :func:`~repro.schemes.registry.build_stack`), so two instances
@@ -223,11 +224,14 @@ _HANDSHAKE_BYTES = 2 * CONFIG_MESSAGE_BYTES
 class ReshaperScheme(Scheme):
     """Adapter: any :class:`~repro.core.base.Reshaper` as a :class:`Scheme`.
 
-    ``apply`` resets the scheduler, reshapes the whole trace, verifies
-    that reshaping is a pure partition of the original traffic
-    (Sec. III-A), and splits the result into per-interface observable
-    flows.  Each apply is one association, charged one Fig. 2
-    configuration handshake as the stage's ``handshake_bytes``.
+    ``apply`` reshapes the whole trace through the scheduler's batch
+    :meth:`~repro.core.base.Reshaper.assign_columns` — the assignment
+    its fused plan uses — verifies that reshaping is a pure partition of
+    the original traffic (Sec. III-A), and splits the result into
+    per-interface observable flows.  The scheduler's online state is
+    neither read nor advanced, so a reshaper shared with a streaming
+    loop is left as it was.  Each apply is one association, charged one
+    Fig. 2 configuration handshake as the stage's ``handshake_bytes``.
     """
 
     def __init__(self, name: str, reshaper: Reshaper):
@@ -243,7 +247,6 @@ class ReshaperScheme(Scheme):
 
     def apply(self, trace: Trace) -> DefendedTraffic:
         with span(f"scheme.apply[{self.name}]"):
-            self._reshaper.reset()
             reshaped = self._reshaper.reshape(trace)
             verify_partition(trace, reshaped)
             flows = reshaped.split_by_iface()
@@ -262,11 +265,10 @@ class ReshaperScheme(Scheme):
         sizes: np.ndarray,
         directions: np.ndarray,
         label: str | None,
-    ) -> FusedPlan | None:
-        raw = self._reshaper.assign_columns(times, sizes, directions)
-        if raw is None:
-            return None
-        plan = FusedPlan.from_assignments(raw)
+    ) -> FusedPlan:
+        plan = FusedPlan.from_assignments(
+            self._reshaper.assign_columns(times, sizes, directions)
+        )
         return plan.with_stages(
             (FusedStage(self.name, 1, (plan.n_flows,), 0, _HANDSHAKE_BYTES),)
         )

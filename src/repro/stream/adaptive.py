@@ -209,8 +209,8 @@ def run_arms_race(
             read — never mutated.
         base_factory: zero-argument callable building a fresh base
             reshaper per trace (scheduler state must not leak between
-            associations, as :meth:`repro.schemes.ReshaperScheme.apply`
-            resets it per trace).
+            associations, as the batch
+            :meth:`repro.schemes.ReshaperScheme.apply` never lets it).
         adaptive: when False the defender never reallocates (the static
             baseline; everything else identical).
         confidence_threshold / cooldown: trigger tuning, see

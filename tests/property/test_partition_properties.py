@@ -19,8 +19,10 @@ from repro.core.schedulers import (
     RandomReshaper,
     RoundRobinReshaper,
 )
-from repro.core.targets import orthogonal_targets
+from repro.core.target_driven import TargetDrivenReshaper
+from repro.core.targets import TargetDistribution, orthogonal_targets
 from repro.traffic.trace import Trace
+from oracles.replay import replay_packets
 
 
 @st.composite
@@ -53,6 +55,31 @@ def reshapers():
             FrequencyHoppingScheduler(),
         ]
     )
+
+
+def fresh_reshapers():
+    """Factories: batch output is compared with a fresh online replay."""
+    greedy = TargetDistribution(
+        (500, 1000, 1576),
+        np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]]),
+    )
+    return st.sampled_from(
+        [
+            lambda: RandomReshaper(interfaces=3, seed=7),
+            lambda: RoundRobinReshaper(interfaces=3),
+            lambda: OrthogonalReshaper.paper_default(),
+            lambda: ModuloReshaper(interfaces=3),
+            lambda: FrequencyHoppingScheduler(),
+            lambda: TargetDrivenReshaper(greedy),
+        ]
+    )
+
+
+@given(trace=traces(), factory=fresh_reshapers())
+@settings(max_examples=60, deadline=None)
+def test_batch_assignment_is_the_online_replay(trace, factory):
+    batch = factory().assign_columns(trace.times, trace.sizes, trace.directions)
+    np.testing.assert_array_equal(batch, replay_packets(factory(), trace))
 
 
 @given(trace=traces(), reshaper=reshapers())
@@ -109,7 +136,7 @@ def test_modulo_reshaper_matches_formula(trace):
 @settings(max_examples=40, deadline=None)
 def test_round_robin_balances_within_one(trace):
     reshaper = RoundRobinReshaper(interfaces=3)
-    assignment = reshaper.assign_trace(trace)
+    assignment = reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
     for direction in (0, 1):
         counts = np.bincount(assignment[trace.directions == direction], minlength=3)
         assert counts.max() - counts.min() <= 1
@@ -121,8 +148,8 @@ def test_stateless_reshapers_are_deterministic(trace):
     # OR and modulo hashing are pure functions of the packet: applying
     # them twice yields identical partitions.
     for reshaper in (OrthogonalReshaper.paper_default(), ModuloReshaper(3)):
-        first = reshaper.assign_trace(trace)
-        second = reshaper.assign_trace(trace)
+        first = reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
+        second = reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
         assert np.array_equal(first, second)
 
 

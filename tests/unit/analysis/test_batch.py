@@ -14,13 +14,12 @@ from repro.analysis.batch import (
     WindowCache,
     augment_direction_dropout,
     flow_feature_matrix,
-    flows_feature_matrix,
 )
 from repro.analysis.features import (
     direction_dropout_variants,
     features_from_windows,
 )
-from repro.analysis.windows import sliding_windows, window_traces
+from repro.analysis.windows import sliding_windows
 from repro.defenses.base import DefendedTraffic
 from repro.traffic.trace import Trace
 
@@ -114,19 +113,6 @@ class TestFlowFeatureMatrix:
     def test_rejects_bad_min_packets(self):
         with pytest.raises(ValueError):
             flow_feature_matrix(Trace.empty(), 5.0, min_packets=0)
-
-
-class TestFlowsFeatureMatrix:
-    def test_concatenates_in_flow_order(self):
-        rng = np.random.default_rng(21)
-        flows = [random_trace(rng, 120, 5.0) for _ in range(3)]
-        stacked = flows_feature_matrix(flows, 5.0, 2)
-        per_flow = [flow_feature_matrix(f, 5.0, 2) for f in flows]
-        assert np.array_equal(stacked, np.concatenate(per_flow))
-        assert len(stacked) == len(window_traces(flows, 5.0, 2))
-
-    def test_empty_input(self):
-        assert flows_feature_matrix([], 5.0).shape == (0, 12)
 
 
 class TestAugmentDirectionDropout:

@@ -5,9 +5,8 @@ in ``tests/property/test_fused_properties.py``; here we pin down the
 kernel's unit-level contracts — telemetry (counts, the O(one flow)
 ``batch.bytes_materialized`` gauge), empty-flow handling — and the
 cache semantics the runner depends on: None plans are cached (fallback
-schemes don't re-attempt fusion per window), captured subprofiles come
-back on every request, and the preallocating ``flows_feature_matrix``
-still equals the concatenate-of-parts construction.
+schemes don't re-attempt fusion per window) and captured subprofiles
+come back on every request.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro import obs
 from repro.analysis.batch import (
     WindowCache,
     flow_feature_matrix,
-    flows_feature_matrix,
     fused_feature_matrices,
     fused_flow_matrices,
 )
@@ -97,29 +95,6 @@ class TestFusedKernel:
             fused_flow_matrices(trace, plan, window=0.0)
         with pytest.raises(ValueError):
             fused_flow_matrices(trace, plan, window=5.0, min_packets=0)
-
-
-class TestFlowsFeatureMatrixPreallocation:
-    """The preallocated writer equals building each block and stacking."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("min_packets", [1, 2, 5])
-    def test_equals_concatenated_per_flow_blocks(self, seed, min_packets):
-        rng = np.random.default_rng(seed)
-        flows = [make_trace(n=int(n), seed=seed + 50 + i) for i, n in
-                 enumerate(rng.integers(0, 400, 6))]
-        stacked = flows_feature_matrix(flows, 5.0, min_packets)
-        reference = [flow_feature_matrix(f, 5.0, min_packets) for f in flows]
-        expected = (
-            np.concatenate(reference, axis=0)
-            if reference
-            else np.empty((0, 12))
-        )
-        assert stacked.shape == expected.shape
-        np.testing.assert_array_equal(stacked, expected)
-
-    def test_no_flows(self):
-        assert flows_feature_matrix([], 5.0, 2).shape == (0, 12)
 
 
 class TestWindowCacheFusedMemoization:

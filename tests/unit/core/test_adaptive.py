@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import QuantileBoundaryReshaper, quantile_boundaries
+from repro.core.schedulers import OrthogonalReshaper
 from repro.schemes import as_scheme
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
@@ -46,6 +47,12 @@ class TestQuantileBoundaryReshaper:
         assert min(counts) > 0.1 * max(counts)
         assert sum(counts) == len(bt)
 
+    def test_is_an_or_scheduler(self, bt):
+        reshaper = QuantileBoundaryReshaper.fit(bt, interfaces=3)
+        assert isinstance(reshaper, OrthogonalReshaper)
+        assert isinstance(reshaper.refit(bt), QuantileBoundaryReshaper)
+        assert reshaper.targets.boundaries == reshaper.boundaries
+
     def test_refit_adapts_to_new_traffic(self, bt):
         reshaper = QuantileBoundaryReshaper.fit(bt, interfaces=3)
         chat = TrafficGenerator(seed=72).generate(AppType.CHATTING, 60.0)
@@ -62,4 +69,6 @@ class TestQuantileBoundaryReshaper:
             bt.times[:200], bt.sizes[:200], bt.directions[:200],
             bt.ifaces[:200], bt.channels[:200], bt.rssi[:200],
         )
-        assert online == list(reshaper.assign_trace(sub))
+        assert online == list(
+            reshaper.assign_columns(sub.times, sub.sizes, sub.directions)
+        )

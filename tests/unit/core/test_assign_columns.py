@@ -1,18 +1,18 @@
-"""Reset-semantics column assignment (`Reshaper.assign_columns`).
+"""Batch assignment (`Reshaper.assign_columns`) against the online oracle.
 
-The fused evaluation path never constructs a Trace, so each scheduler
-must reproduce — bit for bit — what a freshly reset instance's
-``assign_trace`` would emit, from raw columns alone.  Statefulness is
-the trap: ``assign_columns`` must ignore accumulated online state
-(that's what "reset semantics" means), and schedulers whose recurrence
-cannot be written in closed form must decline with ``None``.
+The fused evaluation path never constructs a Trace, and every scheme's
+``apply`` reshapes through the same call, so each scheduler must
+reproduce — bit for bit — what a fresh instance's per-packet
+``assign_packet`` replay emits, from raw columns alone.  Statefulness is
+the trap: ``assign_columns`` must neither read nor advance accumulated
+online state (that's what "reset semantics" means).
 """
 
 import numpy as np
 import pytest
 
+from oracles.replay import replay_packets
 from repro.core.adaptive import QuantileBoundaryReshaper
-from repro.core.base import Reshaper
 from repro.core.schedulers import (
     FrequencyHoppingScheduler,
     ModuloReshaper,
@@ -34,115 +34,104 @@ def make_trace(n=400, seed=0):
     )
 
 
-def schedulers():
-    calibration = make_trace(seed=3)
-    return [
-        RandomReshaper(interfaces=3, seed=7),
-        RoundRobinReshaper(interfaces=3),
-        OrthogonalReshaper.paper_default(3),
-        ModuloReshaper(interfaces=4),
-        FrequencyHoppingScheduler(),
-        QuantileBoundaryReshaper.fit(calibration, interfaces=3),
-    ]
+def greedy_targets():
+    matrix = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]])
+    return TargetDistribution((500, 1000, 1576), matrix)
+
+
+#: Factories, so every test (and every oracle) gets a fresh instance.
+SCHEDULERS = {
+    "RandomReshaper": lambda: RandomReshaper(interfaces=3, seed=7),
+    "RoundRobinReshaper": lambda: RoundRobinReshaper(interfaces=3),
+    "OrthogonalReshaper": lambda: OrthogonalReshaper.paper_default(3),
+    "ModuloReshaper": lambda: ModuloReshaper(interfaces=4),
+    "FrequencyHoppingScheduler": lambda: FrequencyHoppingScheduler(),
+    "QuantileBoundaryReshaper": lambda: QuantileBoundaryReshaper.fit(
+        make_trace(seed=3), interfaces=3
+    ),
+    "TargetDrivenReshaper": lambda: TargetDrivenReshaper(greedy_targets()),
+}
+
+by_scheduler = pytest.mark.parametrize(
+    "factory", SCHEDULERS.values(), ids=SCHEDULERS.keys()
+)
+
+
+def columns(trace):
+    return trace.times, trace.sizes, trace.directions
 
 
 class TestAssignColumnsBitIdentity:
-    @pytest.mark.parametrize(
-        "reshaper", schedulers(), ids=lambda r: type(r).__name__
-    )
-    def test_matches_reset_assign_trace(self, reshaper):
-        trace = make_trace()
-        reshaper.reset()
-        reference = reshaper.assign_trace(trace)
-        vectorized = reshaper.assign_columns(
-            trace.times, trace.sizes, trace.directions
-        )
-        assert vectorized is not None
-        assert vectorized.dtype == reference.dtype
+    @by_scheduler
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fresh_per_packet_replay(self, factory, seed):
+        trace = make_trace(n=300, seed=seed)
+        reference = replay_packets(factory(), trace)
+        vectorized = factory().assign_columns(*columns(trace))
+        assert vectorized.dtype == np.int16
         np.testing.assert_array_equal(vectorized, reference)
 
-    @pytest.mark.parametrize(
-        "reshaper", schedulers(), ids=lambda r: type(r).__name__
-    )
-    def test_ignores_accumulated_state(self, reshaper):
+    @by_scheduler
+    def test_ignores_accumulated_state(self, factory):
         """Columns answer as a *fresh* scheduler even after online use."""
         trace = make_trace()
-        reshaper.reset()
-        reference = reshaper.assign_trace(trace)
+        reference = replay_packets(factory(), trace)
+        reshaper = factory()
         # Poison any online state, then ask again at the column level.
         for k in range(17):
             reshaper.assign_packet(time=float(k), size=100 + k, direction=k % 2)
-        vectorized = reshaper.assign_columns(
-            trace.times, trace.sizes, trace.directions
+        np.testing.assert_array_equal(
+            reshaper.assign_columns(*columns(trace)), reference
         )
-        np.testing.assert_array_equal(vectorized, reference)
 
-    @pytest.mark.parametrize(
-        "reshaper", schedulers(), ids=lambda r: type(r).__name__
-    )
-    def test_empty_columns(self, reshaper):
-        out = reshaper.assign_columns(
+    @by_scheduler
+    def test_leaves_online_state_alone(self, factory):
+        """A batch call between online packets does not shift the stream."""
+        trace = make_trace(n=60, seed=4)
+        first = trace.select(np.arange(60) < 30)
+        second = trace.select(np.arange(60) >= 30)
+        interrupted = factory()
+        replay_packets(interrupted, first)
+        interrupted.assign_columns(*columns(make_trace(n=400, seed=5)))
+        continued = replay_packets(interrupted, second)
+        straight = factory()
+        replay_packets(straight, first)
+        np.testing.assert_array_equal(continued, replay_packets(straight, second))
+
+    @by_scheduler
+    def test_empty_columns(self, factory):
+        out = factory().assign_columns(
             np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
         )
         assert len(out) == 0
-
-    def test_default_declines(self):
-        """Schedulers without a closed form fall back via ``None``."""
-
-        class Sequential(Reshaper):
-            @property
-            def interfaces(self):
-                return 2
-
-            def assign_packet(self, time, size, direction):
-                return 0
-
-        trace = make_trace(n=5)
-        assert (
-            Sequential().assign_columns(trace.times, trace.sizes, trace.directions)
-            is None
-        )
-
-    def test_target_driven_declines(self):
-        """The greedy recurrence has no closed form — it must decline."""
-        targets = TargetDistribution((800, 1576), np.array([[0.6, 0.4], [0.4, 0.6]]))
-        reshaper = TargetDrivenReshaper(targets)
-        trace = make_trace(n=20)
-        assert (
-            reshaper.assign_columns(trace.times, trace.sizes, trace.directions)
-            is None
-        )
+        assert out.dtype == np.int16
 
 
-class TestTargetDrivenIncrementalDeviation:
-    """The cached-deviation batch loop is bit-identical to per-packet replay."""
-
-    def _targets(self):
-        matrix = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]])
-        return TargetDistribution((500, 1000, 1576), matrix)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_assign_trace_matches_per_packet_replay(self, seed):
-        trace = make_trace(n=300, seed=seed)
-        batch = TargetDrivenReshaper(self._targets())
-        online = TargetDrivenReshaper(self._targets())
-        one_by_one = [
-            online.assign_packet(
-                float(trace.times[k]), int(trace.sizes[k]), int(trace.directions[k])
-            )
-            for k in range(len(trace))
-        ]
-        np.testing.assert_array_equal(batch.assign_trace(trace), one_by_one)
-        np.testing.assert_array_equal(batch._counts, online._counts)
+class TestTargetDrivenOnlineContinuation:
+    """Online state persists across packets until ``reset``."""
 
     def test_resumes_from_accumulated_state(self):
-        """Mid-stream batch calls continue the online recurrence exactly."""
+        """Packet-by-packet calls continue the recurrence across traces."""
         trace = make_trace(n=200, seed=9)
         first = trace.select(np.arange(200) < 100)
         second = trace.select(np.arange(200) >= 100)
-        split = TargetDrivenReshaper(self._targets())
-        whole = TargetDrivenReshaper(self._targets())
+        split = TargetDrivenReshaper(greedy_targets())
         resumed = np.concatenate(
-            [split.assign_trace(first), split.assign_trace(second)]
+            [replay_packets(split, first), replay_packets(split, second)]
         )
-        np.testing.assert_array_equal(resumed, whole.assign_trace(trace))
+        whole = TargetDrivenReshaper(greedy_targets())
+        np.testing.assert_array_equal(resumed, whole.assign_columns(*columns(trace)))
+
+    def test_batch_leaves_the_counts_alone(self):
+        reshaper = TargetDrivenReshaper(greedy_targets())
+        replay_packets(reshaper, make_trace(n=50, seed=11))
+        before = reshaper.achieved_distributions()
+        reshaper.assign_columns(*columns(make_trace(n=300, seed=12)))
+        np.testing.assert_array_equal(reshaper.achieved_distributions(), before)
+
+    def test_reset_restarts_the_recurrence(self):
+        trace = make_trace(n=80, seed=10)
+        reshaper = TargetDrivenReshaper(greedy_targets())
+        first = replay_packets(reshaper, trace)
+        reshaper.reset()
+        np.testing.assert_array_equal(replay_packets(reshaper, trace), first)

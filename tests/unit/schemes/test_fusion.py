@@ -13,6 +13,8 @@ import pytest
 
 from oracles.plan_index import flow_indices
 from repro import obs
+from repro.core.target_driven import TargetDrivenReshaper
+from repro.core.targets import TargetDistribution
 from repro.defenses import FusedPlan, FusedStage, PacketPadding
 from repro.analysis.batch import flow_feature_matrix
 from repro.experiments.runner import defended_matrices
@@ -83,6 +85,25 @@ class TestPlanFlowParity:
         scheme = as_scheme(PacketPadding())
         for label in ("uploading", "browsing", None):
             assert_plan_matches_apply(scheme, make_trace(label=label, n=300))
+
+    def test_target_driven_fuses(self):
+        """The greedy scheduler plans: its flows are its apply flows."""
+        targets = TargetDistribution(
+            (500, 1000, 1576),
+            np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]]),
+        )
+        scheme = as_scheme(TargetDrivenReshaper(targets), "greedy")
+        plan = assert_plan_matches_apply(scheme, make_trace(n=400))
+        assert plan.n_flows == len(scheme.apply(make_trace(n=400)).flows)
+        assert plan.stages[0].scheme == "greedy"
+
+    def test_apply_records_no_plan(self):
+        """apply derives its flows from the plan arithmetic, not fused_plan."""
+        for name in ("padding", "pseudonym", "or"):
+            scheme = build_stack(name, seed=7)
+            _, sub = obs.captured(lambda: scheme.apply(make_trace()))
+            assert "batch.fused_plans" not in sub.metrics.counters
+            assert sub.metrics.counters["scheme.apply_calls"] == 1
 
     def test_morphing_declines(self):
         assert build_stack("morphing", seed=7).fused_plan(make_trace()) is None

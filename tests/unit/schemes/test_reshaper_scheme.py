@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.replay import replay_packets
+
 from repro.core.base import Reshaper
 from repro.core.schedulers import OrthogonalReshaper, RoundRobinReshaper
 from repro.schemes import as_scheme
@@ -24,6 +26,9 @@ class _ResizingReshaper(Reshaper):
 
     def assign_packet(self, time: float, size: int, direction: int) -> int:
         return 0
+
+    def assign_columns(self, times, sizes, directions):
+        return np.zeros(len(times), dtype=np.int16)
 
     def reshape(self, trace: Trace) -> Trace:
         return trace.with_sizes(trace.sizes + 1)
@@ -57,6 +62,30 @@ class TestApply:
         first = [flow.times.copy() for flow in scheme.apply(trace).observable_flows]
         second = scheme.apply(trace).observable_flows
         assert all(np.array_equal(a, b.times) for a, b in zip(first, second))
+
+    def test_leaves_online_state_alone(self, trace):
+        """Counters advanced by assign_packet survive an apply."""
+        reshaper = RoundRobinReshaper(interfaces=3)
+        # Two downlink packets: the online rotation now points at iface 2.
+        reshaper.assign_packet(0.0, 100, 0)
+        reshaper.assign_packet(0.1, 100, 0)
+        scheme = as_scheme(reshaper)
+        defended = scheme.apply(trace)
+        assert sorted(defended.flows) == [0, 1, 2]
+        assert reshaper.assign_packet(0.2, 100, 0) == 2
+        # ... and apply itself started from a fresh rotation.
+        assert defended.observable_flows[0].times[0] == trace.times[0]
+
+    def test_apply_matches_fresh_replay(self, trace):
+        """apply's flows are the per-packet replay of a fresh scheduler."""
+        replayed = trace.with_ifaces(
+            replay_packets(RoundRobinReshaper(interfaces=3), trace)
+        )
+        defended = as_scheme(RoundRobinReshaper(interfaces=3)).apply(trace)
+        expected = replayed.split_by_iface()
+        assert sorted(defended.flows) == sorted(expected)
+        for key, flow in expected.items():
+            np.testing.assert_array_equal(defended.flows[key].times, flow.times)
 
     def test_stage_accounting(self, trace):
         defended = as_scheme(OrthogonalReshaper.paper_default(), "or").apply(trace)

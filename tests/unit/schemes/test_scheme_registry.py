@@ -105,9 +105,9 @@ class TestBuild:
     def test_registry_ra_matches_legacy_construction(self, trace):
         ours = build_raw(SchemeSpec("ra", (("interfaces", 3),)), seed=9)
         legacy = RandomReshaper(interfaces=3, seed=9)
-        ours.reset(), legacy.reset()
         np.testing.assert_array_equal(
-            ours.assign_trace(trace), legacy.assign_trace(trace)
+            ours.assign_columns(trace.times, trace.sizes, trace.directions),
+            legacy.assign_columns(trace.times, trace.sizes, trace.directions),
         )
 
     def test_or_boundaries_param(self):
