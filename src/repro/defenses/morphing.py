@@ -14,6 +14,15 @@ When the sampled target size is *smaller* than the packet, the packet
 is fragmented into ceil(size / target)-sized chunks, each carrying its
 own MAC header (fragmentation is how a real morpher must shrink
 packets; the extra headers are charged as overhead).
+
+The defended trace is one gather of the source columns through a
+fragment index, ``repeat(arange(n), copies)`` with ``copies`` the
+fragment count of a morphed packet and 1 for the rest
+(:func:`~repro.traffic.trace.fragment_packets`).  Morphed frames take
+the sampled size, interface 0 and no RSSI; on equal timestamps they
+come before unmorphed packets.  Sampling groups packets by
+source-support row with one stable sort, so each row's inverse-CDF
+draw is one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 from repro.defenses.base import DefendedTraffic, Defense
 from repro.mac.frames import FRAME_HEADER_BYTES
 from repro.traffic.packet import Direction
-from repro.traffic.trace import Trace
+from repro.traffic.trace import Trace, fragment_packets
 from repro.util.rng import derive_rng
 
 __all__ = [
@@ -113,16 +122,21 @@ class MorphingMatrix:
         conditional = self.conditional()
         indices = np.searchsorted(self.source_support, np.asarray(sizes, dtype=np.int64))
         indices = np.clip(indices, 0, len(self.source_support) - 1)
-        out = np.empty(len(sizes), dtype=np.int64)
         cumulative = np.cumsum(conditional, axis=1)
         draws = rng.random(len(sizes))
-        # Group packets by source-support row so each row's inverse-CDF
-        # sampling is one vectorized searchsorted.
-        for row in np.unique(indices):
-            members = indices == row
-            columns = np.searchsorted(cumulative[row], draws[members], side="right")
-            columns = np.minimum(columns, len(self.target_support) - 1)
-            out[members] = self.target_support[columns]
+        # Group packets by source-support row (one stable sort, bincount
+        # offsets) so each row's inverse-CDF sampling is one searchsorted
+        # over a contiguous run of the row-sorted draws.
+        by_row = np.argsort(indices, kind="stable")
+        counts = np.bincount(indices, minlength=len(self.source_support))
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        row_draws = draws[by_row]
+        columns = np.empty(len(sizes), dtype=np.intp)
+        for row in np.flatnonzero(counts).tolist():
+            lo, hi = bounds[row], bounds[row + 1]
+            columns[lo:hi] = cumulative[row].searchsorted(row_draws[lo:hi], side="right")
+        out = np.empty(len(sizes), dtype=np.int64)
+        out[by_row] = self.target_support[np.minimum(columns, len(self.target_support) - 1)]
         return out
 
 
@@ -162,20 +176,18 @@ class TrafficMorphing(Defense):
         if self._morph_all:
             mask = np.ones(len(trace), dtype=bool)
         else:
-            direction = self._data_direction or data_direction_of(trace.label)
+            direction = self._data_direction
+            if direction is None:
+                direction = data_direction_of(trace.label)
             mask = trace.directions == int(direction)
         target_sizes = self._target_trace.direction_view(target_direction).sizes
         if not mask.any() or len(target_sizes) == 0:
             return DefendedTraffic(original=trace, flows={0: trace}, extra_bytes=0)
 
-        coupling = monotone_coupling(trace.sizes[mask], target_sizes)
-        rng = derive_rng(self._seed, "morphing", trace.label or "?")
-        morphed_sizes = coupling.sample_targets(trace.sizes[mask], rng)
-
-        source_times = trace.times[mask]
         source_sizes = trace.sizes[mask]
-        source_channels = trace.channels[mask]
-        source_directions = trace.directions[mask]
+        coupling = monotone_coupling(source_sizes, target_sizes)
+        rng = derive_rng(self._seed, "morphing", trace.label or "?")
+        morphed_sizes = coupling.sample_targets(source_sizes, rng)
 
         # Pad-up packets emit one frame; shrink packets fragment into
         # ceil(size / (morphed - header)) frames of the morphed size,
@@ -186,25 +198,9 @@ class TrafficMorphing(Defense):
             1,
             -(-source_sizes // payload_capacity),
         ).astype(np.int64)
-        out_times = np.repeat(source_times, fragments)
-        out_sizes = np.repeat(morphed_sizes, fragments)
-        out_channels = np.repeat(source_channels, fragments)
-        out_directions = np.repeat(source_directions, fragments)
         extra = int((fragments * morphed_sizes - source_sizes).sum())
-
-        other = trace.select(~mask)
-        morphed_part = Trace.from_arrays(
-            times=out_times,
-            sizes=out_sizes,
-            directions=out_directions,
-            channels=out_channels,
-            label=trace.label,
-            sort=True,
-        )
-        from repro.traffic.trace import merge_traces
-
-        defended = merge_traces([morphed_part, other], label=trace.label)
-        return DefendedTraffic(original=trace, flows={0: defended}, extra_bytes=int(extra))
+        defended = fragment_packets(trace, mask, morphed_sizes, fragments)
+        return DefendedTraffic(original=trace, flows={0: defended}, extra_bytes=extra)
 
     @staticmethod
     def paper_morph_pairs() -> dict[str, str]:

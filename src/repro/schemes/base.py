@@ -134,9 +134,6 @@ class Scheme(abc.ABC):
     def apply(self, trace: Trace) -> DefendedTraffic:
         """Defend ``trace``; deterministic in ``(self, trace)``."""
 
-    def reset(self) -> None:
-        """Clear any online state (delegated to wrapped objects)."""
-
     @property
     def reshaper(self) -> Reshaper | None:
         """The underlying packet scheduler, when the scheme has one.
@@ -242,9 +239,6 @@ class ReshaperScheme(Scheme):
     def reshaper(self) -> Reshaper:
         return self._reshaper
 
-    def reset(self) -> None:
-        self._reshaper.reset()
-
     def apply(self, trace: Trace) -> DefendedTraffic:
         with span(f"scheme.apply[{self.name}]"):
             reshaped = self._reshaper.reshape(trace)
@@ -338,10 +332,6 @@ class SchemeStack(Scheme):
         if len(self._stages) == 1:
             return self._stages[0].reshaper
         return None
-
-    def reset(self) -> None:
-        for stage in self._stages:
-            stage.reset()
 
     def apply(self, trace: Trace) -> DefendedTraffic:
         flows: list[Trace] = [trace]

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.traffic.packet import DOWNLINK, Direction, Packet
 
-__all__ = ["Trace", "concat_traces", "merge_traces"]
+__all__ = ["Trace", "concat_traces", "fragment_packets", "merge_traces"]
 
 _RSSI_UNSET = np.float32(np.nan)
 
@@ -95,7 +95,8 @@ class Trace:
         Skips ``__post_init__`` dtype coercion and invariant checks, so the
         caller must guarantee equal-length, correctly-typed, sorted columns.
         Used by transformations that preserve the invariants by construction
-        (masks of a valid trace, sorted merges, window slices).
+        (masks of a valid trace, sorted merges, fragment gathers, window
+        slices).
         """
         trace = cls.__new__(cls)
         trace.times = times
@@ -394,5 +395,56 @@ def merge_traces(traces: Sequence[Trace], label: str | None = None) -> Trace:
         np.concatenate([t.channels for t in traces])[order],
         np.concatenate([t.rssi for t in traces])[order],
         label,
+        {},
+    )
+
+
+def fragment_packets(
+    trace: Trace,
+    rewrite: np.ndarray,
+    sizes: np.ndarray,
+    copies: np.ndarray,
+) -> Trace:
+    """Replace each packet where ``rewrite`` is True by ``copies`` frames of ``sizes`` bytes.
+
+    ``sizes`` and ``copies`` hold one entry per rewritten packet, in
+    trace order.  A rewritten packet's frames keep its time, direction
+    and channel, and carry interface 0 and no RSSI; the other packets
+    are kept as they are.  On equal timestamps rewritten frames come
+    first, so the result equals ``merge_traces([frames, rest],
+    label=trace.label)``, which keeps no ``meta``.  It is built as one
+    gather of the source columns through the fragment index
+    ``repeat(arange(n), copies)`` (``arange(n)`` reordered inside ties
+    only), so it satisfies every invariant the input does.
+    """
+    rewrite = np.asarray(rewrite, dtype=bool)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    copies = np.asarray(copies, dtype=np.int64)
+    if rewrite.shape != trace.times.shape:
+        raise ValueError("rewrite mask shape does not match trace length")
+    n_rewritten = int(np.count_nonzero(rewrite))
+    if sizes.shape != (n_rewritten,) or copies.shape != (n_rewritten,):
+        raise ValueError(f"sizes and copies need one entry per rewritten packet ({n_rewritten})")
+    if n_rewritten and (sizes.min() <= 0 or copies.min() < 1):
+        raise ValueError("rewritten sizes must be positive and copies at least 1")
+    times = trace.times
+    # Stable order by (time, kept after rewritten): a timsort over keys
+    # that are already sorted except inside ties, so it costs one pass.
+    tie_group = np.zeros(len(times), dtype=np.int64)
+    np.cumsum(times[1:] != times[:-1], out=tie_group[1:])
+    order = np.argsort(2 * tie_group + ~rewrite, kind="stable")
+    packet_sizes = trace.sizes.copy()
+    packet_sizes[rewrite] = sizes
+    packet_copies = np.ones(len(times), dtype=np.int64)
+    packet_copies[rewrite] = copies
+    index = np.repeat(order, packet_copies[order])
+    return Trace._trusted(
+        times[index],
+        packet_sizes[index],
+        trace.directions[index],
+        np.where(rewrite, np.int16(0), trace.ifaces)[index],
+        trace.channels[index],
+        np.where(rewrite, _RSSI_UNSET, trace.rssi)[index],
+        trace.label,
         {},
     )

@@ -4,9 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.defenses.morphing import monotone_coupling
+from oracles import morphing_apply
+from repro.defenses.morphing import TrafficMorphing, monotone_coupling
 from repro.defenses.padding import PacketPadding
 from repro.defenses.pseudonym import PseudonymDefense
+from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.sizes import MAX_PACKET_SIZE
 from repro.traffic.trace import Trace
 
@@ -99,3 +101,38 @@ def test_monotone_coupling_is_comonotone(source, target):
         for i2, j2 in support:
             if i1 < i2:
                 assert j1 <= j2, "coupling support must be monotone"
+
+
+@st.composite
+def tied_traces(draw, labels):
+    """Traces on a coarse clock (many equal timestamps), all columns drawn."""
+    label = draw(st.sampled_from(labels))
+    n = draw(st.integers(min_value=0, max_value=60))
+    ticks = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    return Trace.from_arrays(
+        times=np.sort(np.asarray(ticks, dtype=float)) * 0.25,
+        sizes=column(st.integers(min_value=1, max_value=MAX_PACKET_SIZE)),
+        directions=column(st.sampled_from([int(DOWNLINK), int(UPLINK)])),
+        ifaces=column(st.integers(min_value=0, max_value=3)),
+        channels=column(st.sampled_from([1, 6, 11])),
+        rssi=column(st.floats(min_value=-90.0, max_value=-30.0, width=32)),
+        label=label,
+    )
+
+
+@given(
+    trace=tied_traces(["video", "uploading", "gaming", None]),
+    target=tied_traces(["chatting", "uploading", None]),
+    morph_all=st.booleans(),
+    data_direction=st.sampled_from([None, DOWNLINK, UPLINK]),
+    seed=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_morphing_matches_materializing_oracle(trace, target, morph_all, data_direction, seed):
+    options = dict(data_direction=data_direction, morph_all_packets=morph_all, seed=seed)
+    defended = TrafficMorphing(target_trace=target, **options).apply(trace)
+    morphing_apply.assert_same_defense(defended, morphing_apply.morph(trace, target, **options))

@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
+from oracles import morphing_apply
 from oracles.morphing_lp import morphing_matrix_lp
 from repro.defenses.morphing import TrafficMorphing, monotone_coupling
 from repro.traffic.apps import AppType
 from repro.traffic.generator import TrafficGenerator
-from repro.traffic.packet import DOWNLINK
+from repro.traffic.packet import DOWNLINK, UPLINK
 from repro.traffic.trace import Trace
+
+
+def assert_matches_oracle(trace, target, **options):
+    """The morpher's output equals the materializing oracle's."""
+    defended = TrafficMorphing(target_trace=target, **options).apply(trace)
+    morphing_apply.assert_same_defense(defended, morphing_apply.morph(trace, target, **options))
+    return defended
 
 
 class TestMonotoneCoupling:
@@ -44,6 +52,15 @@ class TestMonotoneCoupling:
         out = coupling.sample_targets(np.full(2000, 100), rng)
         assert set(out.tolist()) == {300, 700}
         assert abs((out == 300).mean() - 0.5) < 0.05
+
+    def test_sample_targets_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        source = rng.choice([60, 100, 500, 900, 1500], 3000)
+        target = rng.choice([200, 700, 900, 1576], 3000)
+        coupling = monotone_coupling(source, target)
+        out = coupling.sample_targets(source, np.random.default_rng(9))
+        expected = morphing_apply.sample_targets(coupling, source, np.random.default_rng(9))
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestMorphingLp:
@@ -126,9 +143,74 @@ class TestTrafficMorphing:
         defended = morpher.apply(trace)
         assert defended.extra_bytes == 0
 
+    def test_explicit_downlink_on_uploading_trace(self, traces):
+        # DOWNLINK == 0 must not read as "unset": the explicit direction
+        # wins over the uploading label's uplink default.
+        uploading = TrafficGenerator(seed=22).generate(AppType.UPLOADING, 30.0)
+        morpher = TrafficMorphing(
+            target_trace=traces["gaming"], data_direction=DOWNLINK, seed=0
+        )
+        flow = morpher.apply(uploading).flows[0]
+        np.testing.assert_array_equal(
+            flow.direction_view(UPLINK).sizes, uploading.direction_view(UPLINK).sizes
+        )
+        target_sizes = set(traces["gaming"].direction_view(DOWNLINK).sizes.tolist())
+        assert set(flow.direction_view(DOWNLINK).sizes.tolist()) <= target_sizes
+        assert_matches_oracle(uploading, traces["gaming"], data_direction=DOWNLINK, seed=0)
+
     def test_paper_morph_pairs(self):
         pairs = TrafficMorphing.paper_morph_pairs()
         assert pairs["chatting"] == "gaming"
         assert pairs["video"] == "downloading"
         assert "downloading" not in pairs
         assert "uploading" not in pairs
+
+
+class TestOracleParity:
+    """The one-gather apply equals the select/from_arrays/merge construction."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        generator = TrafficGenerator(seed=31)
+        return {app.value: generator.generate(app, 40.0) for app in AppType}
+
+    @pytest.mark.parametrize("morph_all", [False, True])
+    @pytest.mark.parametrize("source, target", sorted(TrafficMorphing.paper_morph_pairs().items()))
+    def test_paper_morph_pairs(self, traces, source, target, morph_all):
+        assert_matches_oracle(traces[source], traces[target], morph_all_packets=morph_all, seed=3)
+
+    def test_fragments(self, traces):
+        # Uploading -> chatting shrinks most packets into several frames.
+        defended = assert_matches_oracle(traces["uploading"], traces["chatting"], seed=1)
+        assert len(defended.flows[0]) > len(traces["uploading"])
+
+    def test_every_packet_masked(self):
+        trace = Trace.from_arrays([0.0, 0.5, 1.0], [900, 1500, 80], label="video")
+        target = Trace.from_arrays([0.0, 1.0], [300, 600], label="chatting")
+        assert_matches_oracle(trace, target, seed=2)
+
+    def test_no_packet_masked(self):
+        trace = Trace.from_arrays([0.0, 0.5], [900, 1500], directions=[1, 1], label="video")
+        target = Trace.from_arrays([0.0, 1.0], [300, 600], label="chatting")
+        defended = assert_matches_oracle(trace, target, seed=2)
+        assert defended.flows[0] is trace
+
+    def test_one_packet(self):
+        trace = Trace.from_arrays([0.25], [1200], rssi=[-48.0], label="browsing")
+        target = Trace.from_arrays([0.0, 1.0], [100, 200], label="chatting")
+        assert_matches_oracle(trace, target, seed=4)
+
+    def test_same_timestamp_morphed_and_unmorphed(self):
+        # Unmorphed uplink packets sit before and after morphed downlink
+        # packets on one timestamp; morphed frames must come first.
+        trace = Trace.from_arrays(
+            [1.0, 1.0, 1.0, 1.0, 2.0], [40, 1500, 60, 700, 50],
+            directions=[1, 0, 1, 0, 1], ifaces=[2, 2, 2, 2, 2],
+            rssi=[-40.0, -41.0, -42.0, -43.0, -44.0], label="video",
+        )
+        target = Trace.from_arrays([0.0, 1.0], [200, 400], label="chatting")
+        defended = assert_matches_oracle(trace, target, seed=5)
+        flow = defended.flows[0]
+        n_morphed = len(flow) - 3
+        assert (flow.directions[:n_morphed] == 0).all()
+        assert list(flow.sizes[n_morphed:]) == [40, 60, 50]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traffic.packet import DOWNLINK, UPLINK, Packet
-from repro.traffic.trace import Trace, concat_traces, merge_traces
+from repro.traffic.trace import Trace, concat_traces, fragment_packets, merge_traces
 
 
 class TestConstruction:
@@ -148,6 +148,50 @@ class TestCombinators:
 
     def test_merge_empty_list(self):
         assert len(merge_traces([])) == 0
+
+    def test_fragment_packets_expands_rewritten_packets(self):
+        trace = Trace.from_arrays(
+            [0.0, 1.0, 2.0], [100, 200, 300], directions=[0, 1, 0],
+            ifaces=[3, 4, 5], channels=[6, 6, 11], rssi=[-40.0, -50.0, -60.0], label="x",
+        )
+        out = fragment_packets(trace, [True, False, True], [80, 400], [3, 1])
+        assert list(out.times) == [0.0, 0.0, 0.0, 1.0, 2.0]
+        assert list(out.sizes) == [80, 80, 80, 200, 400]
+        assert list(out.directions) == [0, 0, 0, 1, 0]
+        assert list(out.ifaces) == [0, 0, 0, 4, 0]
+        assert list(out.channels) == [6, 6, 6, 6, 11]
+        assert np.isnan(out.rssi[[0, 1, 2, 4]]).all() and out.rssi[3] == np.float32(-50.0)
+        assert (out.label, out.meta) == ("x", {})
+
+    def test_fragment_packets_puts_rewritten_first_on_ties(self):
+        trace = Trace.from_arrays([1.0, 1.0, 1.0, 2.0], [1, 2, 3, 4])
+        out = fragment_packets(trace, [False, True, False, True], [20, 40], [2, 1])
+        reference = merge_traces([
+            Trace.from_arrays([1.0, 1.0, 2.0], [20, 20, 40]),
+            trace.select(np.array([True, False, True, False])),
+        ])
+        assert list(out.sizes) == [20, 20, 1, 3, 40]
+        np.testing.assert_array_equal(out.sizes, reference.sizes)
+        np.testing.assert_array_equal(out.times, reference.times)
+
+    def test_fragment_packets_empty_trace(self):
+        out = fragment_packets(Trace.empty(), np.zeros(0, dtype=bool), [], [])
+        assert len(out) == 0
+        assert out.sizes.dtype == np.int64 and out.rssi.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "rewrite, sizes, copies",
+        [
+            ([True], [10], [1]),
+            ([True, False], [10, 20], [1, 1]),
+            ([True, False], [0], [1]),
+            ([True, False], [10], [0]),
+        ],
+    )
+    def test_fragment_packets_rejects_bad_arguments(self, rewrite, sizes, copies):
+        trace = Trace.from_arrays([0.0, 1.0], [5, 6])
+        with pytest.raises(ValueError):
+            fragment_packets(trace, rewrite, sizes, copies)
 
     def test_concat_shifts_sequentially(self):
         a = Trace.from_arrays([0.0, 1.0], [1, 2])
